@@ -8,6 +8,7 @@
 //! trace codec: equal reports encode to byte-identical documents.
 
 use simsym_graph::{ProcId, VarId};
+use simsym_vm::push_json_string;
 use std::fmt;
 
 /// Stable diagnostic codes, one per checker finding class. The full table
@@ -493,25 +494,6 @@ impl CheckReport {
         }
         out
     }
-}
-
-/// JSON string escaper, identical in behavior to the engine's trace codec.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Bundling the dynamic checkers: one-call runs and deterministic sweeps.
 
-use crate::diag::{push_json_string, sort_diagnostics, Diagnostic, Severity};
+use crate::diag::{sort_diagnostics, Diagnostic, Severity};
 use crate::discipline::DisciplineChecker;
 use crate::isa_check::IsaChecker;
 use crate::lock_order::{LockOrderChecker, LockOrderGraph};
 use crate::lockset::LocksetChecker;
 use simsym_vm::engine::sweep::{sweep_jobs, SweepConfig};
 use simsym_vm::engine::{self, stop, Probe, System};
-use simsym_vm::{InstructionSet, Machine, Scheduler};
+use simsym_vm::{push_json_string, InstructionSet, Machine, Scheduler};
 use std::collections::BTreeMap;
 
 /// All four dynamic checkers, ready to attach to an engine run.

@@ -17,6 +17,8 @@
 //! flag ranges) is left to the runner, exactly as the shell leaves it to
 //! the CLI.
 
+use simsym_vm::push_json_string;
+
 /// A scalar value in a job spec.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecValue {
@@ -421,24 +423,6 @@ pub fn set_field(spec_json: &str, key: &str, value: SpecValue) -> Result<String,
     }
     out.push('}');
     Ok(out)
-}
-
-/// JSON string escaper matching the dialect the parser reads back:
-/// named escapes for the common controls, `\uXXXX` for the rest of C0.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Extracts a field from a flat JSON object, for clients picking a job id

@@ -302,7 +302,10 @@ pub fn replay<S: System + ?Sized>(system: &mut S, trace: &ScheduleTrace) -> Resu
     Ok(())
 }
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal: named escapes for the
+/// quote, the backslash and `\n` `\r` `\t`, `\uXXXX` for the rest of C0.
+/// The one escaper every simsym JSON writer shares.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -311,9 +314,7 @@ fn push_json_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }

@@ -65,6 +65,7 @@ pub use engine::probe::Probe as Monitor;
 pub use engine::probe::{
     RunReport, SimilarityObserver, StabilityMonitor, StopReason, UniquenessMonitor, Violation,
 };
+pub use engine::trace::push_json_string;
 pub use engine::{Probe, System};
 pub use faults::{
     CrashFault, FaultEvent, FaultPlan, FaultPlanError, FaultSched, FaultView, FaultableSystem,

@@ -25,7 +25,7 @@
 //! document (`simsym-repro/v1`) that `simsym analyze --trace` accepts
 //! and replays to the identical verdict.
 
-use crate::engine::trace::json;
+use crate::engine::trace::{json, push_json_string};
 use crate::faults::{CrashFault, FaultPlan, FaultPlanError, Recovery, RecoveryMode};
 use simsym_graph::ProcId;
 use std::fmt;
@@ -356,24 +356,6 @@ impl fmt::Display for ReproError {
 }
 
 impl std::error::Error for ReproError {}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 #[cfg(test)]
 mod tests {
