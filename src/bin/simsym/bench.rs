@@ -41,7 +41,7 @@ impl BenchOpts {
 }
 
 /// One steps/second measurement: a fixed round-robin step budget on a
-/// fixed machine, mirroring `benches/step_throughput.rs`.
+/// fixed machine.
 pub struct ThroughputRow {
     pub family: &'static str,
     pub n: usize,
