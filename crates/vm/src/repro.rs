@@ -25,8 +25,8 @@
 //! document (`simsym-repro/v1`) that `simsym analyze --trace` accepts
 //! and replays to the identical verdict.
 
-use crate::engine::trace::{json, push_json_string};
 use crate::faults::{CrashFault, FaultPlan, FaultPlanError, Recovery, RecoveryMode};
+use crate::json::{self, push_json_string};
 use simsym_graph::ProcId;
 use std::fmt;
 
