@@ -8,7 +8,7 @@
 //! trace codec: equal reports encode to byte-identical documents.
 
 use simsym_graph::{ProcId, VarId};
-use simsym_vm::push_json_string;
+use simsym_vm::json::push_json_string;
 use std::fmt;
 
 /// Stable diagnostic codes, one per checker finding class. The full table

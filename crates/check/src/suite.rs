@@ -7,7 +7,8 @@ use crate::lock_order::{LockOrderChecker, LockOrderGraph};
 use crate::lockset::LocksetChecker;
 use simsym_vm::engine::sweep::{sweep_jobs, SweepConfig};
 use simsym_vm::engine::{self, stop, Probe, System};
-use simsym_vm::{push_json_string, InstructionSet, Machine, Scheduler};
+use simsym_vm::json::push_json_string;
+use simsym_vm::{InstructionSet, Machine, Scheduler};
 use std::collections::BTreeMap;
 
 /// All four dynamic checkers, ready to attach to an engine run.

@@ -404,7 +404,7 @@ impl JobJournal {
 /// Journal record constructors, kept next to the parser so the two
 /// cannot drift.
 pub mod record {
-    use simsym_vm::push_json_string;
+    use simsym_vm::json::push_json_string;
 
     /// A `submit` record: the job is acknowledged once this is durable.
     pub fn submit(id: u64, fingerprint: u64, spec_text: &str) -> String {

@@ -761,7 +761,7 @@ fn error_body(code: &str, message: &str) -> String {
 
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    simsym_vm::push_json_string(&mut out, s);
+    simsym_vm::json::push_json_string(&mut out, s);
     out
 }
 
