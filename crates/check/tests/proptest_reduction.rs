@@ -5,13 +5,18 @@
 //! violation kinds of the identity-reduction oracle — while never visiting
 //! more states. Canonical fingerprints are also a pure function of the
 //! machine state: two independently constructed reducers agree along any
-//! schedule.
+//! schedule. They are invariant under the group: a schedule and its image
+//! under any `π ∈ Γ` reach states with one quotient key, which is the
+//! paper's reachability argument for exploring one state per orbit. With
+//! a trivial group the quotient key is the identity key.
 
 use proptest::prelude::*;
 use simsym_check::explore_check::{check_exploration, Reduction};
 use simsym_check::fixtures::grab_machine;
+use simsym_core::{hopcroft_similarity, selection_program_q, LabelLearner, Model};
+use simsym_graph::automorphism::automorphism_group;
 use simsym_graph::{topology, ProcId, SystemGraph};
-use simsym_vm::reduce::{Reducer, SimilarityQuotient};
+use simsym_vm::reduce::{init_colors, Identity, Reducer, SimilarityQuotient, GROUP_CAP};
 use simsym_vm::{ExploreConfig, FnProgram, InstructionSet, Machine, Program, SystemInit, Value};
 use std::sync::Arc;
 
@@ -60,6 +65,21 @@ fn greedy_once_machine(graph: Arc<SystemGraph>, init: &SystemInit) -> Machine {
         }
     }));
     Machine::new(graph, InstructionSet::S, prog, init).expect("greedy-once machine")
+}
+
+/// The Q selection machine `simsym verify` explores: the selection
+/// program where a processor is uniquely labeled, else the label learner.
+/// Its steps post to Q variables, so quotient keys rename owners.
+fn selection_machine(graph: Arc<SystemGraph>) -> Machine {
+    let init = SystemInit::uniform(&graph);
+    let program: Arc<dyn Program> = match selection_program_q(&graph, &init).expect("consistent") {
+        Some(select) => Arc::new(select),
+        None => {
+            let theta = hopcroft_similarity(&graph, &init, Model::Q);
+            Arc::new(LabelLearner::new(&graph, &init, &theta).expect("consistent"))
+        }
+    };
+    Machine::new(graph, InstructionSet::Q, program, &init).expect("selection machine")
 }
 
 fn build_machine(prog: usize, graph: Arc<SystemGraph>, init: &SystemInit) -> Machine {
@@ -136,6 +156,65 @@ proptest! {
             m1.step(p);
             m2.step(p);
             prop_assert_eq!(a.canonical_fingerprint(&m1), b.canonical_fingerprint(&m2));
+        }
+    }
+
+    #[test]
+    fn quotient_keys_are_invariant_under_permuted_schedules(
+        fam in 0usize..3, steps in proptest::collection::vec(0usize..16, 0..40),
+        incremental in any::<bool>()
+    ) {
+        let g = Arc::new(match fam {
+            0 => topology::uniform_ring(5),
+            1 => topology::philosophers_table(4),
+            _ => topology::hypercube(2),
+        });
+        let init = SystemInit::uniform(&g);
+        let group = automorphism_group(&g, Some(&init_colors(&g, &init)), GROUP_CAP)
+            .expect("small group");
+        let mut q = SimilarityQuotient::new(&g, &init);
+        prop_assert_eq!(q.group_order(), group.len());
+        prop_assert!(group.len() > 1);
+        let n = g.processor_count();
+        let schedule: Vec<usize> = steps.iter().map(|s| s % n).collect();
+        let start = selection_machine(g);
+        let mut m = start.clone();
+        for &p in &schedule {
+            m.step(ProcId::new(p));
+        }
+        let key = q.canonical_fingerprint(&m);
+        for pi in &group {
+            // The image schedule π(p₁)…π(p_k) reaches π·σ. Half the runs
+            // key the images off incremental digests, so both digest
+            // sources must agree too.
+            let mut image = start.clone();
+            if incremental {
+                image.enable_incremental_fingerprint();
+            }
+            for &p in &schedule {
+                image.step(ProcId::new(pi.node_map()[p]));
+            }
+            prop_assert_eq!(q.canonical_fingerprint(&image), key);
+        }
+    }
+
+    #[test]
+    fn a_trivial_group_keys_states_like_the_identity(
+        steps in proptest::collection::vec(0usize..4, 0..40)
+    ) {
+        let g = Arc::new(topology::marked_ring(4));
+        let mut q = SimilarityQuotient::new(&g, &SystemInit::uniform(&g));
+        prop_assert_eq!(q.group_order(), 1);
+        let mut plain = selection_machine(g);
+        let mut inc = plain.clone();
+        inc.enable_incremental_fingerprint();
+        for s in steps {
+            plain.step(ProcId::new(s));
+            inc.step(ProcId::new(s));
+            let key = Identity.canonical_fingerprint(&inc);
+            prop_assert_eq!(q.canonical_fingerprint(&inc), key);
+            prop_assert_eq!(q.canonical_fingerprint(&plain), key);
+            prop_assert_eq!(Identity.canonical_fingerprint(&plain), key);
         }
     }
 }

@@ -205,7 +205,11 @@ fn record_outcome<R: Reducer + ?Sized>(
     if selected.len() > 1 && result.uniqueness_violation.is_none() {
         result.uniqueness_violation = Some(schedule.to_vec());
     }
-    reducer.expand_outcome(&selected, &mut result.outcomes);
+    // The set only ever holds whole orbits of the reducer's group, so a
+    // selected set already present brings its orbit with it.
+    if !result.outcomes.contains(&selected) {
+        reducer.expand_outcome(&selected, &mut result.outcomes);
+    }
 }
 
 impl<'a, K: StateKey, S: Stepper, R: Reducer + ?Sized> Explorer<'a, K, S, R> {

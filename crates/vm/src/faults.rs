@@ -563,11 +563,6 @@ impl<S: FaultableSystem> Faulty<S> {
         &self.inner
     }
 
-    /// The wrapped system, mutably.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Unwraps the system, discarding the fault state.
     pub fn into_inner(self) -> S {
         self.inner

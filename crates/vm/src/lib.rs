@@ -44,6 +44,7 @@
 //! # Ok::<(), simsym_vm::MachineError>(())
 //! ```
 
+mod digest;
 pub mod engine;
 mod explore;
 pub mod faults;

@@ -1,5 +1,6 @@
 //! The executable system: graph + instruction set + program + state.
 
+use crate::digest::{owner_term, place, xor_into, Digest};
 use crate::{InstructionSet, LocalState, Program, SharedVar, SystemInit, Value, ValueId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -319,11 +320,6 @@ impl<'a> PeekView<'a> {
         }
     }
 
-    /// Whether no subvalue has been posted.
-    pub fn posted_is_empty(&self) -> bool {
-        self.posted_len() == 0
-    }
-
     /// The posted subvalues in canonical (sorted) order, with
     /// multiplicity — exactly the old `Vec<Value>` iteration order.
     pub fn posted(&self) -> impl Iterator<Item = &Value> + '_ {
@@ -401,7 +397,7 @@ pub struct Machine {
     last_record: Option<OpRecord>,
     inc_fp: Option<IncFp>,
     /// The `post` performed by the in-flight step, if any — lets the
-    /// incremental fingerprint patch the posted variable's node hash in
+    /// incremental fingerprint patch the posted variable's digest in
     /// O(1) from the (owner, old id, new id) delta instead of rehashing
     /// the whole multiset. Reset at the start of every step.
     last_post_delta: Option<PostDelta>,
@@ -419,62 +415,40 @@ struct PostDelta {
     new: ValueId,
 }
 
-/// Incrementally maintained wide fingerprint: one salted 128-bit hash per
-/// node, XOR-combined. XOR makes the combination order-independent and
-/// lets a step that touched `k` nodes update the global fingerprint in
-/// `O(k)` instead of rehashing the whole state.
+/// Incrementally maintained wide fingerprint: the XOR over nodes of
+/// [`place`]`(node, digest)`. XOR makes the combination order-independent
+/// and lets a step that touched `k` nodes update the global fingerprint
+/// in `O(k)` instead of rehashing the whole state.
 #[derive(Clone)]
 struct IncFp {
     lo: u64,
     hi: u64,
-    /// Per-node hash pairs, processors first, then variables.
-    nodes: Vec<(u64, u64)>,
+    /// Position-free node digests ([`LocalState::digest`],
+    /// [`SharedVar::digest`]), processors first, then variables. The
+    /// similarity quotient reads them to build its permuted keys.
+    nodes: Vec<Digest>,
 }
 
-const FP_SALT_LO: u64 = 0x9E37_79B9_7F4A_7C15;
-const FP_SALT_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-fn node_pair<T: Hash>(idx: usize, t: &T) -> (u64, u64) {
-    let mut lo = DefaultHasher::new();
-    FP_SALT_LO.hash(&mut lo);
-    idx.hash(&mut lo);
-    t.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    FP_SALT_HI.hash(&mut hi);
-    idx.hash(&mut hi);
-    t.hash(&mut hi);
-    (lo.finish(), hi.finish())
+/// The XOR over nodes of each digest placed at its index: the identity
+/// key of a state with these node digests.
+fn placed_xor(nodes: impl Iterator<Item = Digest>) -> (u64, u64) {
+    let mut key = (0, 0);
+    for (i, d) in nodes.enumerate() {
+        xor_into(&mut key, place(i, d));
+    }
+    key
 }
 
-/// The base component of a Multi variable's node hash: salted hash of the
-/// variable's `state₀`, tagged `0u8` to separate it from subvalue terms.
-fn multi_base_pair(idx: usize, base: &Value) -> (u64, u64) {
-    node_pair(idx, &(0u8, base))
-}
-
-/// One subvalue's term in a Multi variable's node hash. The node hash is
-/// the XOR of the base pair and one term per `(owner, subvalue id)` — a
-/// `post` replaces exactly one term, so the incremental fingerprint
-/// updates in O(1) regardless of how many subvalues the variable holds.
-fn multi_term(idx: usize, owner: ProcId, vid: ValueId) -> (u64, u64) {
-    node_pair(idx, &(1u8, owner, vid.raw()))
-}
-
-/// The per-node hash pair of one shared variable. Plain variables hash
-/// their whole state; Multi variables compose XOR terms (see
-/// [`multi_term`]) so steps can patch them incrementally.
-fn var_node_pair(idx: usize, var: &SharedVar) -> (u64, u64) {
-    match var {
-        SharedVar::Plain { .. } => node_pair(idx, var),
-        SharedVar::Multi { base, .. } => {
-            let (mut lo, mut hi) = multi_base_pair(idx, base);
-            for &(p, vid) in var.sub_owners() {
-                let t = multi_term(idx, p, vid);
-                lo ^= t.0;
-                hi ^= t.1;
-            }
-            (lo, hi)
+impl IncFp {
+    /// Replaces node `idx`'s digest, returning the old one.
+    fn set(&mut self, idx: usize, digest: Digest) -> Digest {
+        let old = std::mem::replace(&mut self.nodes[idx], digest);
+        if old != digest {
+            let (a, b) = (place(idx, old), place(idx, digest));
+            self.lo ^= a.0 ^ b.0;
+            self.hi ^= a.1 ^ b.1;
         }
+        old
     }
 }
 
@@ -511,9 +485,9 @@ pub struct StepUndo {
     prev_local: LocalState,
     prev_vars: Vec<VarUndo>,
     prev_record: Option<OpRecord>,
-    /// `(node index, previous hash pair)` for incremental-fingerprint
+    /// `(node index, previous digest)` for incremental-fingerprint
     /// restoration; empty when the fingerprint is not enabled.
-    prev_hashes: Vec<(usize, (u64, u64))>,
+    prev_digests: Vec<(usize, Digest)>,
 }
 
 impl Machine {
@@ -575,11 +549,6 @@ impl Machine {
     /// The system graph.
     pub fn graph(&self) -> &SystemGraph {
         &self.graph
-    }
-
-    /// The shared graph handle.
-    pub fn graph_arc(&self) -> Arc<SystemGraph> {
-        Arc::clone(&self.graph)
     }
 
     /// The instruction set.
@@ -658,7 +627,7 @@ impl Machine {
             // record's target list, so lend the list out and back.
             let rec = self.last_record.as_mut().expect("exec_step records");
             let targets = std::mem::take(&mut rec.targets);
-            let _ = self.refresh_node_hashes(p, &targets);
+            let _ = self.refresh_node_digests(p, &targets);
             self.last_record
                 .as_mut()
                 .expect("exec_step records")
@@ -688,9 +657,9 @@ impl Machine {
         let mut prev_vars = Vec::new();
         self.exec_step(p, Some(&mut prev_vars));
         self.steps += 1;
-        let prev_hashes = if self.inc_fp.is_some() {
+        let prev_digests = if self.inc_fp.is_some() {
             let touched: Vec<VarId> = prev_vars.iter().map(VarUndo::var).collect();
-            self.refresh_node_hashes(p, &touched)
+            self.refresh_node_digests(p, &touched)
         } else {
             Vec::new()
         };
@@ -699,7 +668,7 @@ impl Machine {
             prev_local,
             prev_vars,
             prev_record,
-            prev_hashes,
+            prev_digests,
         }
     }
 
@@ -711,7 +680,7 @@ impl Machine {
             prev_local,
             prev_vars,
             prev_record,
-            prev_hashes,
+            prev_digests,
         } = undo;
         self.locals[proc.index()] = prev_local;
         for u in prev_vars.into_iter().rev() {
@@ -725,11 +694,8 @@ impl Machine {
         self.steps -= 1;
         self.last_record = prev_record;
         if let Some(fp) = &mut self.inc_fp {
-            for (idx, old) in prev_hashes.into_iter().rev() {
-                let cur = fp.nodes[idx];
-                fp.lo ^= cur.0 ^ old.0;
-                fp.hi ^= cur.1 ^ old.1;
-                fp.nodes[idx] = old;
+            for (idx, old) in prev_digests.into_iter().rev() {
+                fp.set(idx, old);
             }
         }
     }
@@ -764,84 +730,75 @@ impl Machine {
         self.locals[p.index()] = local;
     }
 
-    /// Recomputes the incremental-fingerprint entries of processor `p` and
-    /// the given variables, returning the previous `(node, hash)` pairs.
+    /// Recomputes the node digests of processor `p` and the given
+    /// variables, returning the previous `(node, digest)` pairs.
     ///
-    /// A `post` step skips rehashing the posted multiset: its node hash is
+    /// A `post` step skips rehashing the posted multiset: its digest is
     /// patched from the step's [`PostDelta`] by XOR-ing out the owner's
     /// old subvalue term and XOR-ing in the new one — O(1) regardless of
     /// how many processors have posted.
-    fn refresh_node_hashes(&mut self, p: ProcId, vars: &[VarId]) -> Vec<(usize, (u64, u64))> {
-        let Some(mut fp) = self.inc_fp.take() else {
+    fn refresh_node_digests(&mut self, p: ProcId, vars: &[VarId]) -> Vec<(usize, Digest)> {
+        let Some(fp) = self.inc_fp.as_mut() else {
             return Vec::new();
         };
         let pc = self.locals.len();
-        let delta = self.last_post_delta;
-        let mut prev: Vec<(usize, (u64, u64))> = Vec::with_capacity(1 + vars.len());
-        fn touch(
-            fp: &mut IncFp,
-            prev: &mut Vec<(usize, (u64, u64))>,
-            idx: usize,
-            pair: (u64, u64),
-        ) {
-            let old = fp.nodes[idx];
-            if !prev.iter().any(|&(i, _)| i == idx) {
-                // A step touches a variable at most once per op, but
-                // lock_many may list duplicates; keep the oldest pre-image.
-                prev.push((idx, old));
-            }
-            fp.lo ^= old.0 ^ pair.0;
-            fp.hi ^= old.1 ^ pair.1;
-            fp.nodes[idx] = pair;
-        }
-        touch(
-            &mut fp,
-            &mut prev,
+        let mut prev: Vec<(usize, Digest)> = Vec::with_capacity(1 + vars.len());
+        prev.push((
             p.index(),
-            node_pair(p.index(), &self.locals[p.index()]),
-        );
+            fp.set(p.index(), self.locals[p.index()].digest()),
+        ));
         for &v in vars {
             let idx = pc + v.index();
-            let pair = match delta {
+            let digest = match self.last_post_delta {
                 Some(d) if d.var == v => {
-                    let (mut lo, mut hi) = fp.nodes[idx];
+                    let mut digest = fp.nodes[idx];
                     if let Some(pv) = d.prev {
-                        let t = multi_term(idx, d.owner, pv);
-                        lo ^= t.0;
-                        hi ^= t.1;
+                        xor_into(&mut digest, owner_term(d.owner.index(), pv));
                     }
-                    let t = multi_term(idx, d.owner, d.new);
-                    lo ^= t.0;
-                    hi ^= t.1;
-                    (lo, hi)
+                    xor_into(&mut digest, owner_term(d.owner.index(), d.new));
+                    digest
                 }
-                _ => var_node_pair(idx, &self.vars[v.index()]),
+                _ => self.vars[v.index()].digest(),
             };
-            touch(&mut fp, &mut prev, idx, pair);
+            let old = fp.set(idx, digest);
+            // A step touches a variable at most once per op, but
+            // lock_many may list duplicates; keep the oldest pre-image.
+            if !prev.iter().any(|&(i, _)| i == idx) {
+                prev.push((idx, old));
+            }
         }
-        self.inc_fp = Some(fp);
         prev
     }
 
+    /// The position-free digest of node `idx` (processors first),
+    /// computed from scratch.
+    fn node_digest(&self, idx: usize) -> Digest {
+        match self.locals.get(idx) {
+            Some(l) => l.digest(),
+            None => self.vars[idx - self.locals.len()].digest(),
+        }
+    }
+
+    /// Every node's digest, processors first: the incrementally
+    /// maintained ones when the fingerprint is enabled, otherwise
+    /// computed from scratch into `scratch`.
+    pub(crate) fn node_digests<'a>(&'a self, scratch: &'a mut Vec<Digest>) -> &'a [Digest] {
+        if let Some(fp) = &self.inc_fp {
+            return &fp.nodes;
+        }
+        scratch.clear();
+        scratch.extend((0..self.locals.len() + self.vars.len()).map(|i| self.node_digest(i)));
+        scratch
+    }
+
     /// Switches on the incrementally maintained wide fingerprint:
-    /// recomputes every node hash once (`O(N)`), after which each step
-    /// updates the fingerprint from its delta in `O(1)` node hashes.
+    /// computes every node digest once (`O(N)`), after which each step
+    /// updates the fingerprint from its delta in `O(1)` node digests.
     pub fn enable_incremental_fingerprint(&mut self) {
-        let pc = self.locals.len();
-        let mut nodes = Vec::with_capacity(pc + self.vars.len());
-        let (mut lo, mut hi) = (0u64, 0u64);
-        for (i, l) in self.locals.iter().enumerate() {
-            let pair = node_pair(i, l);
-            lo ^= pair.0;
-            hi ^= pair.1;
-            nodes.push(pair);
-        }
-        for (j, v) in self.vars.iter().enumerate() {
-            let pair = var_node_pair(pc + j, v);
-            lo ^= pair.0;
-            hi ^= pair.1;
-            nodes.push(pair);
-        }
+        let nodes: Vec<Digest> = (0..self.locals.len() + self.vars.len())
+            .map(|i| self.node_digest(i))
+            .collect();
+        let (lo, hi) = placed_xor(nodes.iter().copied());
         self.inc_fp = Some(IncFp { lo, hi, nodes });
     }
 
@@ -854,20 +811,9 @@ impl Machine {
 
     /// The wide (128-bit) fingerprint recomputed from scratch — the
     /// reference value the incremental fingerprint must always match.
+    /// Like the node digests it is built from, it is process-local.
     pub fn wide_fingerprint(&self) -> (u64, u64) {
-        let pc = self.locals.len();
-        let (mut lo, mut hi) = (0u64, 0u64);
-        for (i, l) in self.locals.iter().enumerate() {
-            let pair = node_pair(i, l);
-            lo ^= pair.0;
-            hi ^= pair.1;
-        }
-        for (j, v) in self.vars.iter().enumerate() {
-            let pair = var_node_pair(pc + j, v);
-            lo ^= pair.0;
-            hi ^= pair.1;
-        }
-        (lo, hi)
+        placed_xor((0..self.locals.len() + self.vars.len()).map(|i| self.node_digest(i)))
     }
 
     /// Approximate resident bytes of the machine's mutable state (local
@@ -901,7 +847,7 @@ impl Machine {
     /// coherent when it is enabled.
     pub fn restore_local(&mut self, p: ProcId, state: LocalState) {
         self.locals[p.index()] = state;
-        let _ = self.refresh_node_hashes(p, &[]);
+        let _ = self.refresh_node_digests(p, &[]);
     }
 
     /// A canonical snapshot of the global state (local states plus
@@ -950,7 +896,7 @@ pub struct OpEnv<'m> {
     /// push pre-images here before touching shared state.
     undo: Option<&'m mut Vec<VarUndo>>,
     /// Slot for this step's `post` delta, read by the incremental
-    /// fingerprint to patch the posted node hash in O(1).
+    /// fingerprint to patch the posted node digest in O(1).
     post_delta: &'m mut Option<PostDelta>,
     /// Machine-owned scratch for `lock_many` target ids.
     scratch: &'m mut Vec<VarId>,
@@ -1525,6 +1471,58 @@ mod tests {
         let f0 = m.fingerprint();
         m.step(ProcId::new(0));
         assert_ne!(f0, m.fingerprint());
+    }
+
+    #[test]
+    fn incremental_node_digests_match_scratch_ones() {
+        // Q posts patch digests by owner term, S writes rehash the
+        // variable; either way the incremental digests must equal the
+        // from-scratch ones, and a machine without the incremental
+        // fingerprint must report the same digests.
+        for isa in [InstructionSet::Q, InstructionSet::S] {
+            let prog = Arc::new(FnProgram::new("post-or-write", move |local, ops| {
+                let n = ops.name("n");
+                let round = Value::from(i64::from(local.pc % 3));
+                if isa == InstructionSet::Q {
+                    ops.post(n, round.clone());
+                } else {
+                    ops.write(n, round.clone());
+                }
+                local.set("round", round);
+                local.pc += 1;
+            }));
+            let mut inc = machine_with(isa, prog.clone());
+            inc.enable_incremental_fingerprint();
+            let mut plain = machine_with(isa, prog.clone());
+            let scratch = |m: &Machine| -> Vec<Digest> {
+                (0..m.locals.len() + m.vars.len())
+                    .map(|i| m.node_digest(i))
+                    .collect()
+            };
+            let mut undos = Vec::new();
+            for p in [0, 1, 1, 0, 1, 0, 0] {
+                let p = ProcId::new(p);
+                undos.push(inc.step_undoable(p));
+                plain.step(p);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                assert_eq!(inc.node_digests(&mut a), scratch(&inc).as_slice());
+                assert_eq!(inc.node_digests(&mut a), plain.node_digests(&mut b));
+                assert_eq!(
+                    inc.incremental_fingerprint(),
+                    Some(plain.wide_fingerprint())
+                );
+            }
+            let fresh = machine_with(isa, prog.clone());
+            while let Some(u) = undos.pop() {
+                inc.undo(u);
+            }
+            let mut a = Vec::new();
+            assert_eq!(inc.node_digests(&mut a), scratch(&fresh).as_slice());
+            assert_eq!(
+                inc.incremental_fingerprint(),
+                Some(fresh.wide_fingerprint())
+            );
+        }
     }
 
     #[test]

@@ -12,11 +12,19 @@
 //!
 //! * **canonicalization** — [`Reducer::canonical_fingerprint`] maps the
 //!   machine's current state to a dedup key; [`SimilarityQuotient`] takes
-//!   the minimum over `Γ` of a permuted 128-bit state hash, so all states
+//!   the minimum over `Γ` of a permuted 128-bit state key, so all states
 //!   of one orbit collapse to one key. Soundness needs `Γ` closed under
 //!   composition (two states with equal minima are related by
 //!   `π₂⁻¹·π₁ ∈ Γ`), which is why the full group is enumerated rather
-//!   than a generating set;
+//!   than a generating set. Both keys are built from the machine's
+//!   position-free 128-bit node digests: [`Identity`] reads the
+//!   incremental fingerprint, the XOR of every digest placed at its own
+//!   node, and the quotient places each digest at its image under `π`
+//!   instead, renaming Q subvalue owners by swapping only the terms of
+//!   owners `π` moves. No state is rehashed per permutation, and a
+//!   trivial group costs nothing over [`Identity`]. The keys hash
+//!   interned ids, so they depend on interning order: they are
+//!   process-local and never persisted;
 //! * **outcome closure** — the quotient search visits one orbit
 //!   representative, so every observed selected-set is re-expanded
 //!   through `Γ` ([`Reducer::expand_outcome`]); the identity oracle's
@@ -32,12 +40,12 @@
 //! reduction factors can be read off as memory saved, not just states
 //! skipped.
 
+use crate::digest::{place, rename_owners, xor_into, Digest};
 use crate::{Machine, SystemInit, Value};
 use simsym_graph::automorphism::{automorphism_group, Automorphism};
 use simsym_graph::{CsrAdjacency, ProcId, SystemGraph, VarId};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Largest automorphism group [`SimilarityQuotient::new`] will enumerate
 /// before falling back to the identity-only (no-reduction) group.
@@ -159,38 +167,18 @@ impl<R: Reducer + ?Sized> Reducer for Box<R> {
     }
 }
 
-// Salts for the permuted position-mix, independent of the machine's
-// incremental-fingerprint salts (the two keys never meet in one set).
-const QFP_SALT_LO: u64 = 0x517C_C1B7_2722_0A95;
-const QFP_SALT_HI: u64 = 0x6C62_272E_07BB_0142;
-
-fn position_pair(pos: usize, content: u64) -> (u64, u64) {
-    let mut lo = DefaultHasher::new();
-    QFP_SALT_LO.hash(&mut lo);
-    pos.hash(&mut lo);
-    content.hash(&mut lo);
-    let mut hi = DefaultHasher::new();
-    QFP_SALT_HI.hash(&mut hi);
-    pos.hash(&mut hi);
-    content.hash(&mut hi);
-    (lo.finish(), hi.finish())
-}
-
-fn content_hash<T: Hash>(t: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
-}
-
 /// Canonicalizes states modulo the similarity group `Γ = Aut(N, state₀)`:
-/// the canonical fingerprint of `σ` is `min over π ∈ Γ` of a salted
-/// 128-bit hash of `π·σ`, so all states of one `Γ`-orbit dedup to one
+/// the canonical fingerprint of `σ` is `min over π ∈ Γ` of the 128-bit
+/// state key of `π·σ`, so all states of one `Γ`-orbit dedup to one
 /// visited entry — "verified up to depth d **modulo Aut(N)**".
 ///
-/// `π·σ` places node `i`'s content at node `π(i)` and renames the owners
-/// of Q subvalues through `π` ([`crate::SharedVar::permuted_content_hash`]);
-/// local states carry no processor identities in the paper's anonymous
-/// common-program model, so their content hashes move unchanged.
+/// A state key is the XOR over nodes of a node's position-free digest
+/// placed at its position; the identity permutation gives exactly the
+/// machine's incremental fingerprint. `π·σ` places node `i`'s digest at
+/// node `π(i)` and renames the owners of Q subvalues through `π`, which
+/// swaps only the digest terms of the owners `π` moves. Local states
+/// carry no processor identities in the paper's anonymous common-program
+/// model, so their digests move unchanged.
 #[derive(Clone, Debug)]
 pub struct SimilarityQuotient {
     proc_count: usize,
@@ -200,6 +188,9 @@ pub struct SimilarityQuotient {
     /// Whether the group enumeration bailed at [`GROUP_CAP`] and `perms`
     /// is the identity-only fallback rather than the true `Aut(N, state₀)`.
     capped: bool,
+    /// Node digests of machines without an incremental fingerprint,
+    /// reused across calls.
+    scratch: Vec<Digest>,
 }
 
 impl SimilarityQuotient {
@@ -229,6 +220,7 @@ impl SimilarityQuotient {
             proc_count: graph.processor_count(),
             perms,
             capped: false,
+            scratch: Vec::new(),
         }
     }
 
@@ -245,11 +237,6 @@ impl SimilarityQuotient {
     /// The size of the group being quotiented by.
     pub fn automorphism_count(&self) -> usize {
         self.perms.len()
-    }
-
-    /// Whether [`GROUP_CAP`] fired and the group is the identity fallback.
-    pub fn is_group_capped(&self) -> bool {
-        self.capped
     }
 }
 
@@ -283,48 +270,28 @@ impl Reducer for SimilarityQuotient {
     }
 
     fn canonical_fingerprint(&mut self, m: &Machine) -> (u64, u64) {
-        let locals = m.locals();
-        let vars = m.shared_vars();
+        if self.perms.len() == 1 {
+            // The trivial group (or the GROUP_CAP fallback): the only
+            // image is the identity key.
+            return Identity.canonical_fingerprint(m);
+        }
         let pc = self.proc_count;
-        debug_assert_eq!(locals.len(), pc);
-        // Permutation-independent content hashes, computed once per state.
-        let mut content: Vec<u64> = Vec::with_capacity(locals.len() + vars.len());
-        let mut owner_bound: Vec<usize> = Vec::new();
-        for l in locals {
-            content.push(content_hash(l));
-        }
-        for (j, v) in vars.iter().enumerate() {
-            if v.hash_depends_on_owners() {
-                owner_bound.push(j);
-                content.push(0);
-            } else {
-                content.push(v.permuted_content_hash(&[]));
-            }
-        }
-        let mut best: Option<(u64, u64)> = None;
+        let vars = m.shared_vars();
+        let digests = m.node_digests(&mut self.scratch);
+        debug_assert_eq!(digests.len(), pc + vars.len());
+        let mut best = (u64::MAX, u64::MAX);
         for perm in &self.perms {
-            let (mut lo, mut hi) = (0u64, 0u64);
-            for (i, &c) in content.iter().enumerate().take(pc) {
-                let (l, h) = position_pair(perm[i], c);
-                lo ^= l;
-                hi ^= h;
+            let mut key = (0, 0);
+            for (i, &d) in digests[..pc].iter().enumerate() {
+                xor_into(&mut key, place(perm[i], d));
             }
-            for (j, v) in vars.iter().enumerate() {
-                let idx = pc + j;
-                let c = if owner_bound.contains(&j) {
-                    v.permuted_content_hash(&perm[..pc])
-                } else {
-                    content[idx]
-                };
-                let (l, h) = position_pair(perm[idx], c);
-                lo ^= l;
-                hi ^= h;
+            for (j, (&d, v)) in digests[pc..].iter().zip(vars).enumerate() {
+                let d = rename_owners(d, v.sub_owners(), perm);
+                xor_into(&mut key, place(perm[pc + j], d));
             }
-            if best.is_none_or(|b| (lo, hi) < b) {
-                best = Some((lo, hi));
-            }
+            best = best.min(key);
         }
-        best.expect("perms is never empty")
+        best
     }
 
     fn group_order(&self) -> usize {
