@@ -775,5 +775,18 @@ mod tests {
             "machine state is {} bytes/processor",
             bytes / n
         );
+        // The 10^6 tier boots as lean: adjacency plus machine state stays
+        // within 140 bytes per processor.
+        let n = 1_000_000;
+        let sys = scale_ring(n);
+        let m = Machine::new(
+            Arc::new(sys.graph),
+            InstructionSet::Q,
+            Arc::new(ScaleWorkload::new(2)),
+            &sys.init,
+        )
+        .unwrap();
+        let per_proc = (m.graph().approx_bytes() + m.approx_state_bytes()) / n;
+        assert!(per_proc <= 140, "10^6 ring is {per_proc} bytes/processor");
     }
 }

@@ -861,7 +861,7 @@ impl Server {
                 drop(TcpStream::connect(addr));
             })
         };
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in listener.incoming() {
             if farm.lock().dispatcher_done {
                 break;
@@ -875,6 +875,9 @@ impl Server {
                 let _ = stream.set_write_timeout(Some(t));
             }
             let farm = Arc::clone(&farm);
+            // Dropping a finished handler's handle releases its stack;
+            // only the live ones are joined at drain.
+            handlers.retain(|h| !h.is_finished());
             handlers.push(std::thread::spawn(move || {
                 handle_connection(stream, &farm);
             }));

@@ -17,7 +17,7 @@ pub enum Kind {
     Usize(&'static str),
     /// A positive integer; the noun is one unit: `at least one seed`.
     Count(&'static str),
-    /// Any string; the noun is what is missing: `--against needs a file`.
+    /// Any string; the noun is what is missing: `--repro-out needs a file`.
     Str(&'static str),
     /// One of a fixed list of names: `unknown reduction "x" (have: ...)`.
     Enum(&'static str, &'static [&'static str]),

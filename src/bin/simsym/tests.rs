@@ -1,8 +1,4 @@
 use super::*;
-use crate::bench::{
-    bench_render_json, bench_render_text, bench_schema_skeleton, BenchOpts, ExploreRow,
-    LabelingRow, OverheadRow, ScaleRow, StaticInterferenceRow, StaticLintRow, ThroughputRow,
-};
 use crate::family::parse_system;
 use crate::faults::{faults_crash, faults_lossy, faults_starve, FaultsOpts};
 use simsym::check;
@@ -731,167 +727,6 @@ fn verify_rejects_bad_flags() {
         .contains("even"));
 }
 
-#[test]
-fn bench_rejects_bad_flags() {
-    assert!(call(&["bench", "--frobnicate"])
-        .unwrap_err()
-        .contains("unknown bench flag"));
-    assert!(call(&["bench", "--against"])
-        .unwrap_err()
-        .contains("--against needs a file"));
-}
-
-/// Synthetic rows so the test exercises rendering, not timing.
-#[allow(clippy::type_complexity)]
-fn fake_rows() -> (
-    Vec<ThroughputRow>,
-    Vec<ScaleRow>,
-    Vec<LabelingRow>,
-    Vec<ExploreRow>,
-    Vec<StaticLintRow>,
-    Vec<StaticInterferenceRow>,
-    OverheadRow,
-) {
-    let t = vec![ThroughputRow {
-        family: "ring",
-        n: 64,
-        isa: "Q",
-        steps: 2_000,
-        nanos: 1_000_000,
-    }];
-    let sc = vec![ScaleRow {
-        family: "scale-ring",
-        n: 100_000,
-        construct_nanos: 5_000_000,
-        steps: 300_000,
-        nanos: 100_000_000,
-        bytes_per_processor: 140,
-    }];
-    let l = vec![
-        LabelingRow {
-            n: 64,
-            algorithm: "naive",
-            nanos: 500,
-        },
-        LabelingRow {
-            n: 64,
-            algorithm: "hopcroft",
-            nanos: 100,
-        },
-    ];
-    let e = vec![ExploreRow {
-        family: "table",
-        n: 4,
-        reduce: "both",
-        states_canonical: 250,
-        states_seen: 900,
-        nanos: 2_000,
-    }];
-    let s = vec![StaticLintRow {
-        family: "ring",
-        n: 64,
-        nanos: 4_000,
-    }];
-    let i = vec![StaticInterferenceRow {
-        family: "table",
-        n: 4,
-        interference: "static",
-        states_canonical: 250,
-        states_seen: 900,
-        nanos: 2_000,
-    }];
-    let o = OverheadRow {
-        steps: 2_000,
-        plain_nanos: 1_000_000,
-        faulted_nanos: 1_010_000,
-        journaled_nanos: 1_111_000,
-    };
-    (t, sc, l, e, s, i, o)
-}
-
-#[test]
-fn bench_json_is_valid_and_schema_ignores_numbers() {
-    let (t, sc, l, e, s, i, o) = fake_rows();
-    let a = bench_render_json(&t, &sc, &l, &e, &s, &i, &o);
-    assert!(a.contains("\"explore_reduction\""));
-    assert!(a.contains("\"scale_tier\""));
-    assert!(a.contains("\"bytes_per_processor\": 140"));
-    assert!(a.contains("\"construct_nanos\": 5000000"));
-    assert!(a.contains("\"static_lint\""));
-    assert!(a.contains("\"verify_static_interference\""));
-    assert!(a.contains("\"states_canonical\": 250"));
-    assert!(a.contains("\"schema\": \"simsym-bench/v1\""));
-    assert!(a.contains("\"steps_per_sec\": 2000000"));
-    assert!(a.contains("\"faults_overhead\""));
-    assert!(a.contains("\"overhead_percent\": 1"));
-    assert!(a.contains("\"journal_overhead\""));
-    // 1_111_000 vs 1_010_000 faulted: +10% for the journal.
-    assert!(a.contains("\"journaled_nanos\": 1111000"));
-    assert!(a.contains("\"overhead_percent\": 10"));
-    // Same rows with different timings: schema skeleton is identical.
-    let mut t2 = fake_rows().0;
-    t2[0].nanos = 77;
-    let b = bench_render_json(&t2, &sc, &l, &e, &s, &i, &o);
-    assert_ne!(a, b);
-    assert_eq!(bench_schema_skeleton(&a), bench_schema_skeleton(&b));
-    // A renamed label is schema drift.
-    let mut t3 = fake_rows().0;
-    t3[0].family = "torus";
-    let c = bench_render_json(&t3, &sc, &l, &e, &s, &i, &o);
-    assert_ne!(bench_schema_skeleton(&a), bench_schema_skeleton(&c));
-}
-
-#[test]
-fn bench_overhead_percent_is_signed() {
-    // A faster faulted run (timer noise) renders as a *negative*
-    // percent — the old clamp-at-zero hid real regressions in the
-    // baseline. The schema skeleton strips the numeric sign with the
-    // digits, so the sign flip is not schema drift in CI.
-    let o = OverheadRow {
-        steps: 100,
-        plain_nanos: 1_000,
-        faulted_nanos: 900,
-        journaled_nanos: 800,
-    };
-    assert_eq!(o.percent(), -10);
-    assert_eq!(o.journal_percent(), -11);
-    let (t, sc, l, e, s, i, positive) = fake_rows();
-    let json = bench_render_json(&t, &sc, &l, &e, &s, &i, &o);
-    assert!(json.contains("\"overhead_percent\": -10"), "{json}");
-    assert!(json.contains("\"overhead_percent\": -11"), "{json}");
-    // Negative and positive overheads share one schema skeleton: the
-    // sign is part of the number, not of the shape.
-    assert_eq!(
-        bench_schema_skeleton(&json),
-        bench_schema_skeleton(&bench_render_json(&t, &sc, &l, &e, &s, &i, &positive))
-    );
-    // The text rendering carries the sign too.
-    let opts = BenchOpts {
-        json: false,
-        quick: true,
-        against: None,
-    };
-    let text = bench_render_text(&t, &sc, &l, &e, &s, &i, &o, &opts);
-    assert!(text.contains("(-10%)"), "{text}");
-    assert!(text.contains("(-11% over faulted)"), "{text}");
-}
-
-#[test]
-fn bench_schema_skeleton_keeps_digits_inside_strings() {
-    assert_eq!(
-        bench_schema_skeleton("{\"v1 x\": 23, \"n\": 4}"),
-        "{\"v1 x\":,\"n\":}"
-    );
-    assert_eq!(bench_schema_skeleton("\"esc\\\"2\" 9"), "\"esc\\\"2\"");
-    // A numeric minus vanishes with its digits; a non-numeric minus
-    // (and one inside a string) is structure and stays.
-    assert_eq!(
-        bench_schema_skeleton("{\"p\": -23, \"q\": 23}"),
-        "{\"p\":,\"q\":}"
-    );
-    assert_eq!(bench_schema_skeleton("\"a-b\": x-y"), "\"a-b\":x-y");
-}
-
 // ---- the simulation farm ------------------------------------------
 
 use simsym::serve::client as farm;
@@ -1400,7 +1235,7 @@ fn cli_stdout_golden_net() {
             0x8f873e3d7ab8c751,
         ),
     ];
-    const USAGE: u64 = 0x8d43f307cf90ceff;
+    const USAGE: u64 = 0x0c5c3104b1f95083;
     const REPRO_RING: u64 = 0xe6a4f7b811df7121;
     const REPLAY_RING: u64 = 0x47de50a05f998e32;
     let mut drift = Vec::new();
@@ -1471,7 +1306,6 @@ fn every_subcommand_rejects_a_flag_given_twice() {
             "faults", "--family", "ring", "--family", "table", "--plan", "crash",
         ],
         &["soak", "--family", "ring", "--budget", "2", "--budget", "3"],
-        &["bench", "--quick", "--quick"],
         &["serve", "--workers", "1", "--workers", "2"],
     ] {
         let err = call(args).unwrap_err();

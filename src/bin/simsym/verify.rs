@@ -76,7 +76,7 @@ impl VerifyOpts {
 
 /// The same machinery `elect` runs: the generated Q selection program
 /// when one exists, else the label learner itself.
-pub fn selection_machine(graph: &Arc<SystemGraph>, init: &SystemInit) -> Result<Machine, String> {
+fn selection_machine(graph: &Arc<SystemGraph>, init: &SystemInit) -> Result<Machine, String> {
     let program: Arc<dyn Program> =
         match selection_program_q(graph, init).map_err(|e| e.to_string())? {
             Some(select) => Arc::new(select),
@@ -90,7 +90,7 @@ pub fn selection_machine(graph: &Arc<SystemGraph>, init: &SystemInit) -> Result<
 
 /// One exploration of `machine` under `mode`, its POR pruning driven by
 /// one-step probes or, given them, by the program's static footprints.
-pub fn explore(
+fn explore(
     machine: &Machine,
     init: &SystemInit,
     cfg: ExploreConfig,
