@@ -3,7 +3,7 @@
 //! Registers are processor-independent (every processor runs the same
 //! program text), so one [`SpecCfg`] with an interned register universe
 //! serves the register analyses for all processors. Shared-operation
-//! targets *are* processor-dependent — each [`PortSet`] resolves through
+//! targets *are* processor-dependent — each [`PortSet`](simsym_vm::PortSet) resolves through
 //! the processor's `n-nbr` row — so the lock-order and interference
 //! analyses resolve a per-processor view with [`resolved_ops`].
 

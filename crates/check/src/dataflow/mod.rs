@@ -6,7 +6,7 @@
 //! declarative [`ProgramSpec`] a [`Program`](simsym_vm::Program)
 //! optionally exposes:
 //!
-//! * [`cfg`] — lowering a spec into a control-flow graph with interned
+//! * [`mod@cfg`] — lowering a spec into a control-flow graph with interned
 //!   registers, plus per-processor port resolution;
 //! * [`solver`] — the monotone-framework worklist solver over finite
 //!   powerset lattices;

@@ -599,7 +599,7 @@ impl Program for Algorithm4 {
 /// `extended = true` reproduces the PR 4 defect where the L* unlock path
 /// read `runlock` before any write had reached it — regression tests run
 /// the must-initialize analysis on that variant and expect
-/// [`STAT-UNINIT-READ`](simsym_check) with **zero** VM steps executed.
+/// `simsym_check`'s `STAT-UNINIT-READ` with **zero** VM steps executed.
 pub fn algorithm4_spec(extended: bool, boot_runlock: bool) -> ProgramSpec {
     let relabel = A4_RELABEL as u32;
     let barrier = A4_BARRIER as u32;

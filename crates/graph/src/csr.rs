@@ -70,16 +70,6 @@ impl CsrAdjacency {
         let end = self.var_offsets[v.index() + 1] as usize;
         &self.var_edges_flat[start..end]
     }
-
-    /// Whether processors `p` and `q` share an adjacent variable — the
-    /// static may-conflict relation partial-order reduction starts from:
-    /// two processors whose rows are disjoint can never operate on the
-    /// same shared variable, so their steps always commute.
-    pub fn procs_conflict(&self, p: ProcId, q: ProcId) -> bool {
-        let a = self.proc_row(p);
-        let b = self.proc_row(q);
-        a.iter().any(|v| b.contains(v))
-    }
 }
 
 #[cfg(test)]
@@ -114,20 +104,6 @@ mod tests {
         let csr = CsrAdjacency::new(&g);
         for v in g.variables() {
             assert_eq!(csr.var_edges(v).len(), g.variable_degree(v));
-        }
-    }
-
-    #[test]
-    fn procs_conflict_on_shared_variables_only() {
-        // Ring: each processor conflicts with itself and its two
-        // neighbors, never with a processor two hops away.
-        let g = topology::uniform_ring(5);
-        let csr = CsrAdjacency::new(&g);
-        for i in 0..5 {
-            let p = ProcId::new(i);
-            assert!(csr.procs_conflict(p, p));
-            assert!(csr.procs_conflict(p, ProcId::new((i + 1) % 5)));
-            assert!(!csr.procs_conflict(p, ProcId::new((i + 2) % 5)));
         }
     }
 }

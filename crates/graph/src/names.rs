@@ -117,16 +117,6 @@ impl NameTable {
             .enumerate()
             .map(|(i, s)| (NameId::new(i), s.as_str()))
     }
-
-    /// Rebuilds the internal lookup map (used after deserialization).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), NameId::new(i)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -190,16 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_lookup_restores_get() {
+    fn get_scans_when_the_lookup_map_is_empty() {
         let mut t = NameTable::new();
-        t.intern("left");
-        // Simulate a deserialized table with an empty lookup map.
-        let mut copy = NameTable {
+        for i in 0..9 {
+            t.intern(&format!("n{i}"));
+        }
+        // Simulate a deserialized table with an empty lookup map, past
+        // the size where `get` would scan anyway.
+        let copy = NameTable {
             names: t.names.clone(),
             lookup: HashMap::new(),
         };
-        assert_eq!(copy.get("left"), Some(NameId::new(0)));
-        copy.rebuild_lookup();
-        assert_eq!(copy.get("left"), Some(NameId::new(0)));
+        assert_eq!(copy.get("n8"), Some(NameId::new(8)));
     }
 }

@@ -405,11 +405,6 @@ pub fn hypercube(dim: usize) -> SystemGraph {
     .expect("hypercube is well formed")
 }
 
-/// The processor ids `p0..pn` of a graph, as a convenience for tests.
-pub fn proc_ids(g: &SystemGraph) -> Vec<ProcId> {
-    g.processors().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,11 +618,5 @@ mod tests {
     #[should_panic(expected = "both sides")]
     fn torus_rejects_thin() {
         let _ = torus(1, 5);
-    }
-
-    #[test]
-    fn proc_ids_helper() {
-        let g = figure1();
-        assert_eq!(proc_ids(&g), vec![ProcId::new(0), ProcId::new(1)]);
     }
 }

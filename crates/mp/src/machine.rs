@@ -306,8 +306,8 @@ impl System for MpMachine {
 }
 
 impl FaultableSystem for MpMachine {
-    fn local_snapshot(&self, p: ProcId) -> LocalState {
-        self.locals[p.index()].clone()
+    fn local(&self, p: ProcId) -> &LocalState {
+        &self.locals[p.index()]
     }
 
     fn restore_local(&mut self, p: ProcId, state: LocalState) {

@@ -2,16 +2,13 @@
 //! events plus an on-disk content-addressed artifact store, giving the
 //! farm `kill -9` recovery.
 //!
-//! This follows the same write-ahead / sync-boundary discipline as the
-//! in-VM stable store ([`simsym_vm::journal::StableStore`]): every
-//! record is **appended** to a pending tail and only counts as durable
-//! once an explicit [`JobJournal::sync`] (a real `fdatasync`) has moved
-//! the boundary past it. The farm acknowledges a submission only after
-//! the submit record is durable, so an acknowledged job can never be
-//! lost — the write-ahead order the PR-5 journal models in-process is
-//! applied here to the farm's own metadata. There is no second log
-//! format to learn: one event per line, flat JSON in exactly the
-//! dialect [`crate::spec::parse_flat_object`] accepts.
+//! Every record is **appended** to a pending tail and only counts as
+//! durable once an explicit [`JobJournal::sync`] (a real `fdatasync`)
+//! has moved the boundary past it. The farm acknowledges a submission
+//! only after the submit record is durable, so an acknowledged job can
+//! never be lost. There is no second log format to learn: one event per
+//! line, flat JSON in exactly the dialect
+//! [`crate::spec::parse_flat_object`] accepts.
 //!
 //! Events (`simsym-serve-journal/v1`, one flat JSON object per line):
 //!
@@ -293,8 +290,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, String> {
 }
 
 /// The append side of the journal: an open file with an explicit sync
-/// boundary, mirroring [`simsym_vm::journal::StableStore`]'s
-/// append/sync split with a real `fdatasync` behind it.
+/// boundary and a real `fdatasync` behind it.
 pub struct JobJournal {
     file: File,
     path: PathBuf,

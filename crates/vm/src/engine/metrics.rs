@@ -56,13 +56,6 @@ impl StepMetrics {
             }
         }
     }
-
-    /// Fraction of lock-class operations (`lock` + `lock_many`) that found
-    /// their target held; `None` if no lock-class operation ran.
-    pub fn contention_rate(&self) -> Option<f64> {
-        let attempts = self.ops.count(OpKind::Lock) + self.ops.count(OpKind::LockMany);
-        (attempts > 0).then(|| self.lock_contention as f64 / attempts as f64)
-    }
 }
 
 impl fmt::Display for StepMetrics {
@@ -127,11 +120,6 @@ impl MetricsProbe {
     pub fn metrics(&self) -> &StepMetrics {
         &self.metrics
     }
-
-    /// Consumes the probe, yielding the collected metrics.
-    pub fn into_metrics(self) -> StepMetrics {
-        self.metrics
-    }
 }
 
 impl<S: System + ?Sized> Probe<S> for MetricsProbe {
@@ -171,13 +159,12 @@ mod tests {
             &mut [&mut probe],
             &mut engine::stop::Never,
         );
-        let metrics = probe.into_metrics();
+        let metrics = probe.metrics();
         assert_eq!(metrics.total_steps, 8);
         assert_eq!(metrics.steps_per_proc, vec![4, 4]);
         assert_eq!(metrics.ops.count(OpKind::Write), 4);
         assert_eq!(metrics.ops.count(OpKind::Read), 4);
         assert_eq!(metrics.lock_contention, 0);
-        assert!(metrics.contention_rate().is_none());
     }
 
     #[test]
@@ -202,13 +189,12 @@ mod tests {
             &mut [&mut probe],
             &mut engine::stop::Never,
         );
-        let metrics = probe.into_metrics();
+        let metrics = probe.metrics();
         // Schedule p0 p1 p0 p1 p0 p1: p0 locks once then idles (2 local
         // steps); p1 fails all 3 of its attempts.
         assert_eq!(metrics.ops.count(OpKind::Lock), 4);
         assert_eq!(metrics.lock_contention, 3);
         assert_eq!(metrics.contention_per_proc, vec![0, 3]);
-        assert_eq!(metrics.contention_rate(), Some(0.75));
     }
 
     #[test]

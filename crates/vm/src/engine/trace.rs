@@ -53,39 +53,6 @@ impl ScheduleTrace {
         self.steps.iter().map(|s| s.proc).collect()
     }
 
-    /// Records a trace by executing an explicit `schedule` against
-    /// `system` (which must be in its initial state) — the bridge from an
-    /// explorer witness (a bare processor sequence) to a replayable,
-    /// fingerprint-checked artifact.
-    pub fn from_schedule<S: System + ?Sized>(
-        system: &mut S,
-        schedule: &[ProcId],
-        scheduler: impl Into<String>,
-        kind: impl Into<String>,
-    ) -> ScheduleTrace {
-        let mut steps = Vec::with_capacity(schedule.len());
-        for &p in schedule {
-            system.step(p);
-            let op = system.last_op().unwrap_or(StepOp {
-                kind: OpKind::Local,
-                contended: false,
-            });
-            steps.push(TraceStep {
-                proc: p,
-                op: op.kind,
-                contended: op.contended,
-                fingerprint: system.fingerprint(),
-            });
-        }
-        ScheduleTrace {
-            scheduler: scheduler.into(),
-            kind: kind.into(),
-            steps,
-            final_fingerprint: system.fingerprint(),
-            selected: system.selected(),
-        }
-    }
-
     /// Encodes the trace as a deterministic single-line JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.steps.len() * 48);
@@ -339,21 +306,6 @@ mod tests {
             &mut engine::stop::Never,
         );
         rec.into_trace()
-    }
-
-    #[test]
-    fn from_schedule_matches_recorded_trace_and_replays() {
-        let recorded = record(42, 17);
-        let mut m = counter_machine();
-        let by_schedule = ScheduleTrace::from_schedule(
-            &mut m,
-            &recorded.schedule(),
-            recorded.scheduler.clone(),
-            recorded.kind.clone(),
-        );
-        assert_eq!(by_schedule, recorded);
-        let mut fresh = counter_machine();
-        replay(&mut fresh, &by_schedule).unwrap();
     }
 
     #[test]

@@ -449,19 +449,19 @@ pub trait FaultView {
     fn fault_events(&self) -> &[FaultEvent];
 }
 
-/// A [`System`] whose per-processor local state can be snapshotted and
+/// A [`System`] whose per-processor local state can be read and
 /// restored — what [`Faulty`] needs to implement crash-recovery resets.
 pub trait FaultableSystem: System {
-    /// A copy of processor `p`'s local state.
-    fn local_snapshot(&self, p: ProcId) -> LocalState;
+    /// Processor `p`'s local state.
+    fn local(&self, p: ProcId) -> &LocalState;
 
     /// Replaces processor `p`'s local state.
     fn restore_local(&mut self, p: ProcId, state: LocalState);
 }
 
 impl FaultableSystem for Machine {
-    fn local_snapshot(&self, p: ProcId) -> LocalState {
-        self.local(p).clone()
+    fn local(&self, p: ProcId) -> &LocalState {
+        Machine::local(self, p)
     }
 
     fn restore_local(&mut self, p: ProcId, state: LocalState) {
@@ -509,22 +509,18 @@ impl<S: FaultableSystem> Faulty<S> {
     }
 
     /// Wraps `inner` under `plan` with a stable-storage journal: every
-    /// commit point (per `spec`) is journaled and fsynced atomically with
-    /// the committing step, and [`RecoveryMode::Replay`] recoveries
-    /// rebuild local state from the surviving log.
+    /// commit point (per `spec`) is logged durably with the committing
+    /// step, and [`RecoveryMode::Replay`] recoveries rebuild local state
+    /// by replaying the log onto the boot snapshot.
     ///
     /// # Panics
     ///
     /// As [`Faulty::new`], except replay recoveries are allowed.
     pub fn with_journal(inner: S, plan: FaultPlan, spec: JournalSpec) -> Faulty<S> {
-        let boot: Vec<LocalState> = (0..inner.processor_count())
-            .map(|p| inner.local_snapshot(ProcId::new(p)))
-            .collect();
-        let store = StableStore::new(spec, &boot);
-        Faulty::build(inner, plan, Some(store))
+        Faulty::build(inner, plan, Some(spec))
     }
 
-    fn build(inner: S, plan: FaultPlan, journal: Option<StableStore>) -> Faulty<S> {
+    fn build(inner: S, plan: FaultPlan, spec: Option<JournalSpec>) -> Faulty<S> {
         let n = inner.processor_count();
         for c in &plan.crashes {
             assert!(
@@ -533,9 +529,10 @@ impl<S: FaultableSystem> Faulty<S> {
                 c.proc
             );
         }
-        let boot = (0..n)
-            .map(|p| inner.local_snapshot(ProcId::new(p)))
+        let boot: Vec<LocalState> = (0..n)
+            .map(|p| inner.local(ProcId::new(p)).clone())
             .collect();
+        let journal = spec.map(|spec| StableStore::new(spec, &boot));
         let mut faulty = Faulty {
             inner,
             plan,
@@ -551,11 +548,6 @@ impl<S: FaultableSystem> Faulty<S> {
             "fault plan crashes every processor at step 0"
         );
         faulty
-    }
-
-    /// The journal, if this wrapper carries one.
-    pub fn journal(&self) -> Option<&StableStore> {
-        self.journal.as_ref()
     }
 
     /// The wrapped system.
@@ -581,12 +573,6 @@ impl<S: FaultableSystem> Faulty<S> {
             let i = c.proc.index();
             if c.at_step == self.t && !self.crashed[i] {
                 self.crashed[i] = true;
-                if let Some(journal) = &mut self.journal {
-                    // The fsync boundary: entries journaled strictly
-                    // before the crash step survive, everything later —
-                    // including any unsynced tail — is lost.
-                    journal.crash_at(i, self.t);
-                }
                 self.events.push(FaultEvent::Crashed {
                     step: self.t,
                     proc: c.proc,
@@ -644,10 +630,9 @@ impl<S: FaultableSystem> System for Faulty<S> {
             self.inner.step(p);
             if let Some(journal) = &mut self.journal {
                 // Commit detection: if a tracked register or the
-                // `selected` flag changed this step, the journal appends
-                // and syncs the entry atomically with the step.
-                let state = self.inner.local_snapshot(p);
-                journal.observe(p.index(), &state, self.t);
+                // `selected` flag changed this step, the journal logs the
+                // entry durably with the step.
+                journal.observe(p.index(), self.inner.local(p), self.t);
             }
         }
         self.t += 1;

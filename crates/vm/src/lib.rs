@@ -49,7 +49,7 @@ pub mod engine;
 mod explore;
 pub mod faults;
 mod isa;
-pub mod journal;
+mod journal;
 pub mod json;
 mod machine;
 mod program;
@@ -57,7 +57,6 @@ pub mod reduce;
 pub mod repro;
 mod schedule;
 mod state;
-mod trace;
 mod value;
 
 pub use engine::compat::{run, run_until};
@@ -72,7 +71,7 @@ pub use faults::{
     CrashFault, FaultEvent, FaultPlan, FaultPlanError, FaultSched, FaultView, FaultableSystem,
     Faulty, Recovery, RecoveryMode, StarveAdversary,
 };
-pub use journal::{JournalEntry, JournalSpec, StableStore};
+pub use journal::JournalSpec;
 pub use repro::{shrink_counterexample, ReproArtifact, ReproError, ShrinkStats, Shrunk};
 
 pub use explore::{
@@ -90,5 +89,4 @@ pub use schedule::{
     Scheduler,
 };
 pub use state::{LocalState, RegId, SharedVar, SystemInit};
-pub use trace::{StepRecord, Tracer};
 pub use value::{Value, ValueId};

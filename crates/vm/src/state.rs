@@ -249,6 +249,11 @@ impl LocalState {
         std::iter::from_fn(move || entries.pop())
     }
 
+    /// The set registers as `(id, value)` pairs sorted by [`RegId`].
+    pub(crate) fn regs(&self) -> &[(RegId, Value)] {
+        &self.regs
+    }
+
     /// The set registers as `(name, value)` pairs sorted by name — the
     /// iteration order of the old `BTreeMap` representation, on which
     /// equality, ordering, hashing and display are all defined.
@@ -469,17 +474,6 @@ impl SharedVar {
                 owners,
                 counts,
             } => Some((base, counts.as_slice(), owners.len())),
-        }
-    }
-
-    /// The interned subvalue posted by `owner`, if any.
-    pub fn sub_of(&self, owner: ProcId) -> Option<ValueId> {
-        match self {
-            SharedVar::Plain { .. } => None,
-            SharedVar::Multi { owners, .. } => owners
-                .binary_search_by_key(&owner, |e| e.0)
-                .ok()
-                .map(|i| owners[i].1),
         }
     }
 
@@ -818,7 +812,7 @@ mod tests {
         let p = ProcId::new(4);
         let (a, prev) = v.post_sub(p, Value::from(10));
         assert_eq!(prev, None);
-        assert_eq!(v.sub_of(p), Some(a));
+        assert_eq!(v.sub_owners(), &[(p, a)]);
         let snapshot = v.clone();
         let (b, prev) = v.post_sub(p, Value::from(11));
         assert_eq!(prev, Some(a));

@@ -119,16 +119,6 @@ impl Value {
         }
     }
 
-    /// Whether `item` is a member of this set value.
-    ///
-    /// Returns `false` when `self` is not a set.
-    pub fn set_contains(&self, item: &Value) -> bool {
-        match self {
-            Value::Set(items) => items.binary_search(item).is_ok(),
-            _ => false,
-        }
-    }
-
     /// Number of elements in a set, tuple, or bag (with multiplicity);
     /// `None` for scalar values.
     pub fn len(&self) -> Option<usize> {
@@ -341,14 +331,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Value::bag([Value::from(1), Value::from(2)]);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn set_contains_uses_binary_search() {
-        let s = Value::set((0..10).map(Value::from));
-        assert!(s.set_contains(&Value::from(7)));
-        assert!(!s.set_contains(&Value::from(10)));
-        assert!(!Value::from(3).set_contains(&Value::from(3)));
     }
 
     #[test]

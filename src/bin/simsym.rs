@@ -43,6 +43,7 @@ use family::parse_system_args;
 use simsym::core::{hopcroft_similarity, markdown_report, Model};
 use simsym::graph::dot;
 use simsym::serve::{JobOutput, JobRunner};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// What a command produced: text for stdout, plus whether the process
@@ -64,21 +65,26 @@ pub fn ok(text: String) -> Result<CmdOut, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
+    let (written, code) = match dispatch(&args) {
         Ok(out) => {
-            print!("{}", out.text);
-            if out.failed {
+            let mut stdout = io::stdout().lock();
+            let written = write!(stdout, "{}", out.text).and_then(|()| stdout.flush());
+            let code = if out.failed {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
-            }
+            };
+            (written, code)
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", usage());
-            ExitCode::FAILURE
-        }
+        Err(e) => (
+            write!(io::stderr().lock(), "error: {e}\n\n{}\n", usage()),
+            ExitCode::FAILURE,
+        ),
+    };
+    // A closed pipe (`simsym ... | head`) is a failed run, not a panic.
+    match written {
+        Ok(()) => code,
+        Err(_) => ExitCode::FAILURE,
     }
 }
 

@@ -1,0 +1,36 @@
+//! The CLI on a closed pipe: `simsym ... | head` must end with exit code
+//! 1, not a "failed printing to stdout" panic (exit code 101).
+//!
+//! Each case hands the child the write end of a pipe whose read end is
+//! dropped before the spawn, so every write fails with `EPIPE`.
+
+use std::process::{Command, Output, Stdio};
+
+fn closed_pipe() -> Stdio {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    writer.into()
+}
+
+fn simsym(arg: &str, stdout: Stdio, stderr: Stdio) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_simsym"))
+        .arg(arg)
+        .stdout(stdout)
+        .stderr(stderr)
+        .output()
+        .expect("spawn simsym")
+}
+
+#[test]
+fn closed_stdout_fails_without_panicking() {
+    let out = simsym("list", closed_pipe(), Stdio::piped());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn closed_stderr_fails_without_panicking() {
+    let out = simsym("nonsense", Stdio::piped(), closed_pipe());
+    assert_eq!(out.status.code(), Some(1));
+}

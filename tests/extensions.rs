@@ -7,9 +7,9 @@ use simsym::core::{
     ChoiceMonitor, ConsensusViaSelection, GeneralFamily, Model, SLearner, ValidityMonitor,
 };
 use simsym::graph::{parse_spec, to_spec, topology};
+use simsym::vm::engine::trace::TraceRecorder;
 use simsym::vm::{
-    run, run_until, BoundedFairRandom, InstructionSet, Machine, RoundRobin, SystemInit, Tracer,
-    Value,
+    run, run_until, BoundedFairRandom, InstructionSet, Machine, RoundRobin, SystemInit, Value,
 };
 use simsym_graph::ProcId;
 use std::sync::Arc;
@@ -32,12 +32,12 @@ fn consensus_end_to_end_with_monitors_and_trace() {
     let mut sched = RoundRobin::new();
     let mut agree = AgreementMonitor;
     let mut valid = ValidityMonitor::new(&init);
-    let mut tracer = Tracer::new();
+    let mut recorder = TraceRecorder::new("round-robin", "round-robin");
     let report = run_until(
         &mut m,
         &mut sched,
         500_000,
-        &mut [&mut agree, &mut valid, &mut tracer],
+        &mut [&mut agree, &mut valid, &mut recorder],
         |mach| {
             mach.graph()
                 .processors()
@@ -51,9 +51,10 @@ fn consensus_end_to_end_with_monitors_and_trace() {
             Some(Value::from(9))
         );
     }
-    // The trace recorded the whole run and is renderable.
-    assert_eq!(tracer.len() as u64, report.steps);
-    assert!(tracer.render().contains("p2"));
+    // The trace recorded the whole run, p2's steps included.
+    let trace = recorder.into_trace();
+    assert_eq!(trace.steps.len() as u64, report.steps);
+    assert!(trace.steps.iter().any(|s| s.proc == ProcId::new(2)));
 }
 
 #[test]
