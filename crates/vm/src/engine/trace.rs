@@ -274,7 +274,9 @@ pub fn replay<S: System + ?Sized>(system: &mut S, trace: &ScheduleTrace) -> Resu
 mod tests {
     use super::*;
     use crate::engine;
-    use crate::{FnProgram, InstructionSet, Machine, RandomFair, Scheduler, SystemInit, Value};
+    use crate::{
+        FnProgram, InstructionSet, Machine, RandomFair, RoundRobin, Scheduler, SystemInit, Value,
+    };
     use simsym_graph::topology;
     use std::sync::Arc;
 
@@ -306,6 +308,27 @@ mod tests {
             &mut engine::stop::Never,
         );
         rec.into_trace()
+    }
+
+    #[test]
+    fn recorder_records_every_step() {
+        let mut m = counter_machine();
+        let mut rec = TraceRecorder::new("round-robin", "round-robin");
+        let report = engine::run(
+            &mut m,
+            &mut RoundRobin::new(),
+            6,
+            &mut [&mut rec],
+            &mut engine::stop::Never,
+        );
+        let trace = rec.into_trace();
+        assert_eq!(report.steps, 6);
+        assert_eq!(trace.steps.len(), 6);
+        let procs: Vec<usize> = trace.schedule().iter().map(|p| p.index()).collect();
+        assert_eq!(procs, vec![0, 1, 2, 0, 1, 2]);
+        // The last step's fingerprint is the state the run ended in.
+        assert_eq!(trace.steps[5].fingerprint, m.fingerprint());
+        assert_eq!(trace.final_fingerprint, m.fingerprint());
     }
 
     #[test]
