@@ -37,6 +37,7 @@ use simsym_vm::{
     JournalSpec, LocalState, OpEnv, OpKind, PeekView, PhaseSpec, PortSet, Program, ProgramSpec,
     RegId, SystemInit, Value, ValueId,
 };
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -117,6 +118,11 @@ pub struct Alg2Tables {
     /// capacity sums walk whole `(n, α)` rows with dense adds instead of
     /// one `BTreeMap` lookup per `(α, β)` pair.
     nsize_dense: Vec<u32>,
+    /// One [`CapMask`] per `(name, vlabel index)` over the plabel index
+    /// bits, at `cap_masks[n * nv + bi]`, read from `nsize_dense`. Built
+    /// only when the plabels fit one word (`plabel_sorted.len() <= 64`),
+    /// the dense v-alibi path's precondition; empty otherwise.
+    cap_masks: Vec<CapMask>,
     /// Direct label → plabel-index map (`u32::MAX` = not a plabel), built
     /// when the label values are small enough to index an array. Turns the
     /// alibi kernels' label resolution into one load instead of a binary
@@ -220,7 +226,7 @@ impl Alg2Tables {
             }
             _ => None,
         };
-        Ok(Alg2Tables {
+        let mut tables = Alg2Tables {
             names,
             plabels: labeling.proc_labels(),
             vlabels: labeling.var_labels(),
@@ -230,13 +236,29 @@ impl Alg2Tables {
             vlabel_sorted,
             nbr_dense,
             nsize_dense,
+            cap_masks: Vec::new(),
             plabel_map,
             ignore_init: false,
             epoch: {
                 static EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
                 EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             },
-        })
+        };
+        if np <= 64 {
+            // Walk `nsize_dense` in row order: a column walk per mask
+            // strides across the table.
+            let mut masks = vec![CapMask::default(); names * nv];
+            for n in 0..names {
+                for ai in 0..np {
+                    let row = tables.nsize_row(n, ai);
+                    for (m, &size) in masks[n * nv..(n + 1) * nv].iter_mut().zip(row) {
+                        m.add(1 << ai, size);
+                    }
+                }
+            }
+            tables.cap_masks = masks;
+        }
+        Ok(tables)
     }
 
     /// Switches the tables into the initial-state-ignoring mode used by
@@ -296,6 +318,12 @@ impl Alg2Tables {
         let nv = self.vlabel_sorted.len();
         let start = (name * self.plabel_sorted.len() + ai) * nv;
         &self.nsize_dense[start..start + nv]
+    }
+
+    /// The precomputed capacity mask of `name` against vlabel index `bi`.
+    /// Only valid when `plabel_sorted.len() <= 64`.
+    fn cap_mask(&self, name: usize, bi: usize) -> &CapMask {
+        &self.cap_masks[name * self.vlabel_sorted.len() + bi]
     }
 
     /// `state₀` of a processor label, if known.
@@ -692,11 +720,12 @@ fn bag_of(view: &PeekView) -> Value {
 /// variable, minus previously accumulated alibis.
 pub(crate) fn store_peek(local: &mut LocalState, ni: usize, view: &PeekView, t: &Alg2Tables) {
     let r = learner_regs();
-    // peeked[ni] = bag of posted records — updated in place.
+    // peeked[ni] = bag of posted records — updated in place, copying the
+    // tuple only if another state still shares it.
     let Some(Value::Tuple(peeked)) = local.reg_mut(r.peeked) else {
         panic!("peeked register present");
     };
-    peeked[ni] = bag_of(view);
+    Arc::make_mut(peeked)[ni] = bag_of(view);
     // Initialize VEC[ni] on first peek: labels whose state₀ matches the
     // observed initial value.
     let Some(Value::Tuple(vec)) = local.reg_mut(r.vec) else {
@@ -712,7 +741,7 @@ pub(crate) fn store_peek(local: &mut LocalState, ni: usize, view: &PeekView, t: 
                 .filter(|l| t.state0_v.get(l) == Some(view.initial()))
                 .collect()
         };
-        vec[ni] = labels_to_set(base);
+        Arc::make_mut(vec)[ni] = labels_to_set(base);
     }
 }
 
@@ -804,9 +833,31 @@ pub(crate) fn v_alibi(posts: &[Posted], candidates: &[Label], t: &Alg2Tables) ->
 /// plus a (rarely populated) overflow list for larger entries. This reads
 /// exactly the candidates the caller asked about instead of accumulating
 /// whole dense rows per lab.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct CapMask {
     ones: u64,
     overflow: Vec<(u64, u64)>,
+}
+
+impl CapMask {
+    /// Adds the `neighborhood_size` of one index bit: a size of 1 sets the
+    /// bit in `ones`, a larger one goes to `overflow`, 0 adds nothing.
+    fn add(&mut self, bit: u64, size: u32) {
+        match u64::from(size) {
+            0 => {}
+            1 => self.ones |= bit,
+            v => self.overflow.push((bit, v)),
+        }
+    }
+
+    /// The mask of `(bit, neighborhood_size)` pairs.
+    fn from_sizes(sizes: impl IntoIterator<Item = (u64, u32)>) -> CapMask {
+        let mut m = CapMask::default();
+        for (bit, size) in sizes {
+            m.add(bit, size);
+        }
+        m
+    }
 }
 
 /// Unions of subsets of the distinct sets; beyond the cap, a chain of
@@ -847,7 +898,7 @@ fn labs_u64(distinct: &[(u64, u64)]) -> Vec<u64> {
 fn rule_candidates_u64(
     labs: &[u64],
     distinct: &[(u64, u64)],
-    masks: &[CapMask],
+    masks: &[impl Borrow<CapMask>],
     candidates: &[Label],
     ruled: &mut [bool],
     out: &mut BTreeSet<Label>,
@@ -865,7 +916,7 @@ fn rule_candidates_u64(
             if ruled[ci] {
                 continue;
             }
-            let m = &masks[ci];
+            let m = masks[ci].borrow();
             let capacity = u64::from((lab & m.ones).count_ones())
                 + m.overflow
                     .iter()
@@ -901,25 +952,16 @@ fn v_alibi_name_dense(
     distinct: &[(u64, u64)],
     candidates: &[Label],
 ) -> Vec<Label> {
+    static NO_CAPACITY: CapMask = CapMask {
+        ones: 0,
+        overflow: Vec::new(),
+    };
     let labs = labs_u64(distinct);
-    let np = t.plabel_sorted.len();
-    let masks: Vec<CapMask> = candidates
+    let masks: Vec<&CapMask> = candidates
         .iter()
-        .map(|&b| {
-            let mut m = CapMask {
-                ones: 0,
-                overflow: Vec::new(),
-            };
-            if let Some(bi) = t.vlabel_index(b) {
-                for ai in 0..np {
-                    match u64::from(t.nsize_row(n, ai)[bi]) {
-                        0 => {}
-                        1 => m.ones |= 1 << ai,
-                        v => m.overflow.push((1 << ai, v)),
-                    }
-                }
-            }
-            m
+        .map(|&b| match t.vlabel_index(b) {
+            Some(bi) => t.cap_mask(n, bi),
+            None => &NO_CAPACITY,
         })
         .collect();
     let mut ruled = vec![false; candidates.len()];
@@ -1013,23 +1055,14 @@ fn v_alibi_narrow(
     let labs = labs_u64(&distinct);
     let masks: Vec<CapMask> = cand_idx
         .iter()
-        .map(|bi| {
-            let mut m = CapMask {
-                ones: 0,
-                overflow: Vec::new(),
-            };
-            if let Some(bi) = bi {
-                for (i, &alpha) in universe.iter().enumerate() {
-                    if let Some(ai) = t.plabel_index(alpha) {
-                        match u64::from(t.nsize_row(n, ai)[*bi]) {
-                            0 => {}
-                            1 => m.ones |= 1 << i,
-                            v => m.overflow.push((1 << i, v)),
-                        }
-                    }
-                }
+        .map(|bi| match *bi {
+            Some(bi) => {
+                CapMask::from_sizes(universe.iter().enumerate().filter_map(|(i, &alpha)| {
+                    t.plabel_index(alpha)
+                        .map(|ai| (1 << i, t.nsize_row(n, ai)[bi]))
+                }))
             }
-            m
+            None => CapMask::default(),
         })
         .collect();
     rule_candidates_u64(&labs, &distinct, &masks, candidates, ruled, out);
@@ -1451,5 +1484,79 @@ mod tests {
         assert_eq!(LabelLearner::learned_label(&s), Some(3));
         s.set("pec", Value::set([Value::Sym(3), Value::Sym(4)]));
         assert_eq!(LabelLearner::learned_label(&s), None);
+    }
+
+    /// Whether two tuple values share one allocation.
+    fn shares_storage(a: &Value, b: &Value) -> bool {
+        matches!((a, b), (Value::Tuple(x), Value::Tuple(y)) if Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn store_peek_on_a_cloned_state_copies_on_write() {
+        // Exploration clones a state and steps the clone: the original's
+        // `peeked` and `vec` must not see the clone's in-place updates.
+        let g = topology::figure2();
+        let init = SystemInit::uniform(&g);
+        let labeling = hopcroft_similarity(&g, &init, Model::Q);
+        let prog = LabelLearner::new(&g, &init, &labeling).expect("consistent labeling");
+        let r = learner_regs();
+        let original = prog.boot(&init.proc_values[0]);
+        let mut copy = original.clone();
+        assert!(shares_storage(original.reg(r.peeked), copy.reg(r.peeked)));
+        assert!(shares_storage(original.reg(r.vec), copy.reg(r.vec)));
+
+        let post = encode_post(original.reg(r.pec).clone(), 0, 0, Value::Unit);
+        let view = PeekView::owned(init.var_values[0].clone(), vec![post.clone()]);
+        store_peek(&mut copy, 0, &view, &prog.tables);
+
+        let unset = Value::tuple(std::iter::repeat_n(Value::Unit, prog.tables.names));
+        assert_eq!(original.reg(r.peeked), &unset);
+        assert_eq!(original.reg(r.vec), &unset);
+        assert_eq!(original, prog.boot(&init.proc_values[0]));
+        let peeked = copy.reg(r.peeked).as_tuple().expect("peeked tuple");
+        assert_eq!(peeked[0], Value::bag([post]));
+        assert!(!copy.reg(r.vec).as_tuple().expect("vec tuple")[0].is_unit());
+
+        // Now unshared, the register is updated in place, without a copy.
+        let Some(Value::Tuple(storage)) = copy.reg_opt(r.peeked) else {
+            panic!("peeked tuple");
+        };
+        let addr = Arc::as_ptr(storage);
+        store_peek(&mut copy, 1, &view, &prog.tables);
+        let Some(Value::Tuple(storage)) = copy.reg_opt(r.peeked) else {
+            panic!("peeked tuple");
+        };
+        assert_eq!(Arc::as_ptr(storage), addr);
+    }
+
+    #[test]
+    fn precomputed_capacity_masks_match_the_nsize_rows() {
+        for g in [
+            topology::figure2(),
+            topology::marked_ring(8),
+            topology::marked_ring(64),
+        ] {
+            let init = SystemInit::uniform(&g);
+            let labeling = hopcroft_similarity(&g, &init, Model::Q);
+            let t = Alg2Tables::generate(&g, &init, &labeling).expect("consistent labeling");
+            let (np, nv) = (t.plabel_sorted.len(), t.vlabel_sorted.len());
+            assert!(np <= 64, "{np} plabels");
+            assert_eq!(t.cap_masks.len(), t.names * nv);
+            for n in 0..t.names {
+                for bi in 0..nv {
+                    let want =
+                        CapMask::from_sizes((0..np).map(|ai| (1 << ai, t.nsize_row(n, ai)[bi])));
+                    assert_eq!(t.cap_mask(n, bi), &want, "name {n}, vlabel index {bi}");
+                }
+            }
+        }
+        // Past one word of plabels the dense path is never taken, and no
+        // masks are built.
+        let g = topology::marked_ring(65);
+        let init = SystemInit::uniform(&g);
+        let labeling = hopcroft_similarity(&g, &init, Model::Q);
+        let t = Alg2Tables::generate(&g, &init, &labeling).expect("consistent labeling");
+        assert!(t.plabel_sorted.len() > 64);
+        assert!(t.cap_masks.is_empty());
     }
 }

@@ -269,7 +269,7 @@ impl Program for SLearner {
             let raw = ops.read(ops.name_at(ni));
             let mut cells = tuple_vec(local, "cells");
             cells[ni] = raw;
-            local.set("cells", Value::Tuple(cells));
+            local.set("cells", Value::Tuple(cells.into()));
             local.pc += 1;
             if local.pc == names {
                 self.update(local, clock + 1);
@@ -287,7 +287,7 @@ impl Program for SLearner {
                 let raw = ops.read(name);
                 let mut cells = tuple_vec(local, "cells");
                 cells[ni] = raw;
-                local.set("cells", Value::Tuple(cells));
+                local.set("cells", Value::Tuple(cells.into()));
             } else {
                 records.push(mine);
                 ops.write(name, encode_cell(orig, records));

@@ -373,7 +373,7 @@ impl Algorithm3 {
                 )
             })
             .collect();
-        local.set_reg(r.vec, Value::Tuple(vec));
+        local.set_reg(r.vec, Value::Tuple(vec.into()));
         local.set_reg(
             r.peeked,
             Value::tuple(std::iter::repeat_n(Value::Unit, tb.name_count())),
@@ -734,7 +734,7 @@ impl Algorithm4 {
                 let Some(Value::Tuple(counts)) = local.reg_mut(r.counts) else {
                     panic!("counts register");
                 };
-                counts[ni] = Value::from(c);
+                Arc::make_mut(counts)[ni] = Value::from(c);
                 local.set_reg(r.rbuf, encode_lvar(c, entries));
                 local.set_reg(r.rstage, Value::from(2));
             }

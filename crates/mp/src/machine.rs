@@ -397,7 +397,7 @@ impl MpProgram for ViewLearner {
                 match missing {
                     None => {
                         // Fold: deeper view.
-                        let view = Value::tuple([local.get("init"), Value::Tuple(inbox)]);
+                        let view = Value::tuple([local.get("init"), Value::Tuple(inbox.into())]);
                         local.set("view", view);
                         local.set("round", Value::from(round + 1));
                         local.set("inbox", Value::tuple([]));
@@ -410,7 +410,7 @@ impl MpProgram for ViewLearner {
                             {
                                 if r.as_int() == Some(round) {
                                     inbox[slot] = v.clone();
-                                    local.set("inbox", Value::Tuple(inbox));
+                                    local.set("inbox", Value::Tuple(inbox.into()));
                                 }
                                 // Stale (earlier-round) messages are
                                 // dropped; later rounds cannot arrive

@@ -119,7 +119,7 @@ fn set_int_vec(local: &mut LocalState, name: &str, vals: &[i64]) {
 fn queue_ack(local: &mut LocalState, port: usize, round: i64) {
     let mut q = tuple_reg(local, "ackq");
     q.push(Value::tuple([Value::from(port as i64), Value::from(round)]));
-    local.set("ackq", Value::Tuple(q));
+    local.set("ackq", Value::Tuple(q.into()));
 }
 
 /// Pops the oldest pending ack, if any.
@@ -129,7 +129,7 @@ fn pop_ack(local: &mut LocalState) -> Option<(usize, i64)> {
         return None;
     }
     let head = q.remove(0);
-    local.set("ackq", Value::Tuple(q));
+    local.set("ackq", Value::Tuple(q.into()));
     let [port, round] = <&[Value; 2]>::try_from(head.as_tuple()?).ok()?;
     Some((port.as_int()? as usize, round.as_int()?))
 }
@@ -242,7 +242,7 @@ impl MpProgram for ReliableViewLearner {
         }
 
         // 4. Round closed on both sides: fold and advance.
-        let view = Value::tuple([local.get("init"), Value::Tuple(inbox)]);
+        let view = Value::tuple([local.get("init"), Value::Tuple(inbox.into())]);
         local.set("view", view);
         local.set("round", Value::from(round + 1));
         // The one-round-ahead buffer becomes the new inbox.
@@ -282,13 +282,13 @@ impl ReliableViewLearner {
                 let mut inbox = tuple_reg(local, "inbox");
                 if inbox[port].is_unit() {
                     inbox[port] = payload;
-                    local.set("inbox", Value::Tuple(inbox));
+                    local.set("inbox", Value::Tuple(inbox.into()));
                 }
             } else if r == round + 1 {
                 let mut future = tuple_reg(local, "future");
                 if future[port].is_unit() {
                     future[port] = payload;
-                    local.set("future", Value::Tuple(future));
+                    local.set("future", Value::Tuple(future.into()));
                 }
             }
         } else if tag == ACK {

@@ -36,6 +36,7 @@
 use crate::{LocalState, RegId, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// A protocol's declaration of its commit-point state: which registers
 /// must survive a crash for a reboot to be safe.
@@ -122,6 +123,11 @@ pub(crate) struct StableStore {
     /// by [`RegId`], for commit detection by diffing.
     shadow: Vec<Vec<(RegId, Value)>>,
     shadow_selected: Vec<bool>,
+    /// [`log_digest`] of `log`, computed on the first fingerprint after
+    /// a commit and kept until the next one. A traced run asks for a
+    /// fingerprint every step but rehashes only after commits; an
+    /// untraced run never hashes the log at all.
+    digest: OnceLock<u64>,
 }
 
 impl StableStore {
@@ -136,6 +142,7 @@ impl StableStore {
         StableStore {
             spec,
             log: vec![Vec::new(); boot.len()],
+            digest: OnceLock::new(),
             shadow,
             shadow_selected: boot.iter().map(|s| s.selected).collect(),
         }
@@ -172,6 +179,7 @@ impl StableStore {
             selected: state.selected,
             writes,
         });
+        self.digest = OnceLock::new();
         true
     }
 
@@ -193,24 +201,29 @@ impl StableStore {
     /// A deterministic digest of the whole log, mixed into the
     /// [`Faulty`](crate::faults::Faulty) fingerprint so a replay
     /// diverging on journal state fails the per-step fingerprint check.
-    /// Registers hash by name, so the digest does not depend on
-    /// interning order.
+    /// Cached between commits.
     pub(crate) fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for per_proc in &self.log {
-            per_proc.len().hash(&mut h);
-            for e in per_proc {
-                e.step.hash(&mut h);
-                e.pc.hash(&mut h);
-                e.selected.hash(&mut h);
-                for (r, v) in &e.writes {
-                    r.name().hash(&mut h);
-                    v.hash(&mut h);
-                }
+        *self.digest.get_or_init(|| log_digest(&self.log))
+    }
+}
+
+/// Hashes every entry of every log. Registers hash by name, so the
+/// digest does not depend on interning order.
+fn log_digest(log: &[Vec<JournalEntry>]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for per_proc in log {
+        per_proc.len().hash(&mut h);
+        for e in per_proc {
+            e.step.hash(&mut h);
+            e.pc.hash(&mut h);
+            e.selected.hash(&mut h);
+            for (r, v) in &e.writes {
+                r.name().hash(&mut h);
+                v.hash(&mut h);
             }
         }
-        h.finish()
     }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -350,6 +363,41 @@ mod tests {
         s.set("x", Value::from(1));
         a.observe(0, &s, 0);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn cached_fingerprint_matches_a_recompute_after_every_observe() {
+        let boot = boot_states(3);
+        let mut store = StableStore::new(JournalSpec::registers(["x", "y"]), &boot);
+        assert_eq!(store.fingerprint(), log_digest(&store.log));
+        let mut states = boot;
+        // Commits and non-commits, on several processors, with tuple and
+        // set values as the learner journals them.
+        let script: [(usize, &str, Value, bool); 8] = [
+            (0, "x", Value::from(1), true),
+            (1, "scratch", Value::from(5), false),
+            (1, "y", Value::tuple([Value::from(1), Value::Unit]), true),
+            (0, "x", Value::from(1), false),
+            (2, "x", Value::set([Value::from(3), Value::from(2)]), true),
+            (1, "y", Value::tuple([Value::from(1), Value::from(2)]), true),
+            (2, "scratch", Value::from(0), false),
+            (0, "y", Value::from(true), true),
+        ];
+        let mut seen = vec![store.fingerprint()];
+        for (step, (p, reg, v, commits)) in script.into_iter().enumerate() {
+            states[p].set(reg, v);
+            let before = store.fingerprint();
+            assert_eq!(store.observe(p, &states[p], step as u64), commits);
+            assert_eq!(store.fingerprint(), log_digest(&store.log), "step {step}");
+            if commits {
+                assert!(!seen.contains(&store.fingerprint()), "step {step}");
+                seen.push(store.fingerprint());
+            } else {
+                assert_eq!(store.fingerprint(), before, "step {step}");
+            }
+        }
+        // A clone carries the cache with it.
+        assert_eq!(store.clone().fingerprint(), log_digest(&store.log));
     }
 
     #[test]

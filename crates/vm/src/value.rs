@@ -35,10 +35,14 @@ pub enum Value {
     Int(i64),
     /// An interned symbol — used for similarity labels and program tags.
     Sym(u32),
-    /// An ordered tuple.
-    Tuple(Vec<Value>),
-    /// A set (no duplicates, canonically ordered).
-    Set(Vec<Value>),
+    /// An ordered tuple. The elements are behind an [`Arc`], as a bag's
+    /// map is, so cloning a tuple-holding register is a refcount bump;
+    /// in-place register updates go through [`Arc::make_mut`] and copy
+    /// only when the storage is shared.
+    Tuple(Arc<[Value]>),
+    /// A set (no duplicates, canonically ordered), `Arc`-shared like a
+    /// tuple.
+    Set(Arc<[Value]>),
     /// A multiset (bag), canonically ordered with multiplicities. The map
     /// is behind an [`Arc`] so cloning a bag-holding register is a
     /// refcount bump, not a deep map copy — `Arc`'s `Eq`/`Ord`/`Hash` all
@@ -54,10 +58,17 @@ impl Value {
 
     /// Builds a set value; duplicates are merged and order is canonical.
     pub fn set<I: IntoIterator<Item = Value>>(items: I) -> Value {
-        let mut v: Vec<Value> = items.into_iter().collect();
-        v.sort();
-        v.dedup();
-        Value::Set(v)
+        // Sorted in its final allocation: collecting a sized iterator
+        // allocates the `Arc` once, and only duplicates cost a copy.
+        let mut set: Arc<[Value]> = items.into_iter().collect();
+        let sorted = Arc::get_mut(&mut set).expect("a collected Arc is unshared");
+        sorted.sort();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            let mut unique = sorted.to_vec();
+            unique.dedup();
+            set = unique.into();
+        }
+        Value::Set(set)
     }
 
     /// Builds a bag (multiset) value.
@@ -381,6 +392,22 @@ mod tests {
         );
         // Debug mirrors Display and is never empty.
         assert_eq!(format!("{:?}", Value::Unit), "()");
+    }
+
+    #[test]
+    fn clones_of_tuples_and_sets_share_storage() {
+        let t = Value::tuple([Value::from(1), Value::set([Value::from(2)])]);
+        let s = Value::set([Value::from(3), Value::from(1)]);
+        for v in [t, s] {
+            let c = v.clone();
+            match (&v, &c) {
+                (Value::Tuple(a), Value::Tuple(b)) | (Value::Set(a), Value::Set(b)) => {
+                    assert!(Arc::ptr_eq(a, b), "{v} was deep-copied");
+                }
+                _ => panic!("clone changed the variant of {v}"),
+            }
+            assert_eq!(v, c);
+        }
     }
 
     #[test]

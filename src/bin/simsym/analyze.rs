@@ -15,6 +15,7 @@ use simsym::vm::{
     engine, InstructionSet, Machine, Program, RandomFair, ReproArtifact, ReproError, Scheduler,
     SystemInit,
 };
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// `simsym analyze <system> [--mark ..] [--trace [--seed N] [--steps N]]`
@@ -94,11 +95,17 @@ fn analyze_trace(
     let mut replica = fresh()?;
     replay(&mut replica, &trace).map_err(|e| format!("trace failed to replay: {e}"))?;
 
-    eprintln!(
-        "# {} steps under {} ({:?})",
-        report.steps, trace.scheduler, report.stop
-    );
-    eprint!("{}", metrics.metrics());
+    // Written, not `eprint!`ed: a closed stderr is an error (exit 1), not
+    // a panic.
+    write!(
+        io::stderr().lock(),
+        "# {} steps under {} ({:?})\n{}",
+        report.steps,
+        trace.scheduler,
+        report.stop,
+        metrics.metrics()
+    )
+    .map_err(|e| format!("cannot write metrics to stderr: {e}"))?;
     Ok(format!("{}\n", trace.to_json()))
 }
 
