@@ -43,6 +43,7 @@ use family::parse_system_args;
 use simsym::core::{hopcroft_similarity, markdown_report, Model};
 use simsym::graph::dot;
 use simsym::serve::{JobOutput, JobRunner};
+use std::fmt;
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -61,6 +62,20 @@ pub fn ok(text: String) -> Result<CmdOut, String> {
         text,
         failed: false,
     })
+}
+
+/// Writes a command's diagnostics to stderr while it runs. A closed
+/// stderr comes back as an error for the command to return (exit 1), not
+/// a panic. Test builds print through `eprint!` instead, so the test
+/// harness captures the text rather than interleaving it with its own
+/// per-test report lines.
+pub fn write_stderr(args: fmt::Arguments<'_>) -> io::Result<()> {
+    if cfg!(test) {
+        eprint!("{args}");
+        Ok(())
+    } else {
+        io::stderr().lock().write_fmt(args)
+    }
 }
 
 fn main() -> ExitCode {

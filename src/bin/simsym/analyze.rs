@@ -5,7 +5,7 @@
 use crate::family::parse_system_args;
 use crate::flags::{self, Kind};
 use crate::soak::soak_run_fixed;
-use crate::{ok, CmdOut};
+use crate::{ok, write_stderr, CmdOut};
 use simsym::check::{self, CheckReport, Diagnostic};
 use simsym::core::{decide_selection_with_init, hopcroft_similarity, LabelLearner, Model};
 use simsym::graph::SystemGraph;
@@ -15,7 +15,6 @@ use simsym::vm::{
     engine, InstructionSet, Machine, Program, RandomFair, ReproArtifact, ReproError, Scheduler,
     SystemInit,
 };
-use std::io::{self, Write};
 use std::sync::Arc;
 
 /// `simsym analyze <system> [--mark ..] [--trace [--seed N] [--steps N]]`
@@ -95,16 +94,13 @@ fn analyze_trace(
     let mut replica = fresh()?;
     replay(&mut replica, &trace).map_err(|e| format!("trace failed to replay: {e}"))?;
 
-    // Written, not `eprint!`ed: a closed stderr is an error (exit 1), not
-    // a panic.
-    write!(
-        io::stderr().lock(),
+    write_stderr(format_args!(
         "# {} steps under {} ({:?})\n{}",
         report.steps,
         trace.scheduler,
         report.stop,
         metrics.metrics()
-    )
+    ))
     .map_err(|e| format!("cannot write metrics to stderr: {e}"))?;
     Ok(format!("{}\n", trace.to_json()))
 }

@@ -2,9 +2,9 @@
 //! `shutdown`, and the hidden `panic` fixture.
 
 use crate::flags::{self, Kind};
-use crate::{ok, CmdOut, DispatchRunner};
+use crate::{ok, write_stderr, CmdOut, DispatchRunner};
 use simsym::serve::{client as serve_client, ServeConfig, Server};
-use std::io::{self, Write};
+use std::io;
 use std::sync::Arc;
 
 /// `simsym serve [--addr HOST:PORT] [--workers N] [--queue N]
@@ -36,28 +36,21 @@ pub fn serve(args: &[String]) -> Result<CmdOut, String> {
     let workers = config.workers;
     let journaled = config.state_dir.is_some();
     let server = Server::bind(config, Arc::new(DispatchRunner))?;
-    // Written, not `eprintln!`ed: a closed stderr is an error (exit 1),
-    // not a panic.
     let banner_error = |e: io::Error| format!("cannot write the banner to stderr: {e}");
-    let mut stderr = io::stderr().lock();
-    writeln!(
-        stderr,
-        "simsym serve: listening on {} ({} worker{}); POST /shutdown to drain",
+    write_stderr(format_args!(
+        "simsym serve: listening on {} ({} worker{}); POST /shutdown to drain\n",
         server.local_addr(),
         workers,
         if workers == 1 { "" } else { "s" }
-    )
+    ))
     .map_err(banner_error)?;
     if journaled {
         let (requeued, artifacts) = server.recovery();
-        writeln!(
-            stderr,
-            "simsym serve: journal replayed: recovered {artifacts} finished artifact(s), requeued {requeued} unfinished job(s)"
-        )
+        write_stderr(format_args!(
+            "simsym serve: journal replayed: recovered {artifacts} finished artifact(s), requeued {requeued} unfinished job(s)\n"
+        ))
         .map_err(banner_error)?;
     }
-    // The farm's threads write to stderr too.
-    drop(stderr);
     let summary = server.run()?;
     ok(format!(
         "{{\"schema\": \"simsym-serve/v1\", \"completed\": {}, \"cache_hits\": {}, \"rejected\": {}, \"retried\": {}, \"panicked\": {}, \"deadlines\": {}, \"cancelled\": {}, \"recovered\": {}}}\n",
