@@ -11,8 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsym_graph::ProcId;
 use simsym_vm::faults::{FaultEvent, FaultView, FaultableSystem};
-use simsym_vm::{LocalState, OpKind, StepOp, System, Value};
-use std::collections::hash_map::DefaultHasher;
+use simsym_vm::{DigestHasher, LocalState, OpKind, StepOp, System, Value};
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -272,7 +271,7 @@ impl MpMachine {
     /// A 64-bit fingerprint of the global state (local states plus channel
     /// contents).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut h = DigestHasher::default();
         self.locals.hash(&mut h);
         self.queues.hash(&mut h);
         h.finish()

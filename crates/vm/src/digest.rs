@@ -1,22 +1,25 @@
-//! 128-bit node digests: the one hash of a processor's or variable's
-//! state that both the machine's incremental fingerprint and the
-//! similarity quotient's canonical key are built from.
+//! The one state hash: 128-bit node digests, the state keys built from
+//! them, and the 64-bit fingerprint folded from a key. Exploration, the
+//! similarity quotient, recorded traces, the fault layer and the
+//! message-passing machine all hash through this module.
 //!
 //! A node's *digest* is position-free: it hashes what the node holds,
 //! never where it sits. A state key is the XOR over nodes of
 //! [`place`]`(position, digest)`, a keyed bijection, so the same digests
 //! serve the identity key (node `i` at position `i`) and every permuted
 //! key of the quotient (node `i` at position `π(i)`) without rehashing
-//! any state. A Q variable's digest is a base term XOR one [`owner_term`]
-//! per posted subvalue; renaming owners through `π` swaps only the terms
-//! of owners `π` moves ([`rename_owners`]).
+//! any state. A Q variable's digest is a base term XOR one owner term per
+//! posted subvalue; renaming owners through `π` swaps only the terms of
+//! owners `π` moves ([`rename_owners`]).
 //!
-//! Digests hash interned ids ([`crate::RegId`], [`ValueId`]), whose values
-//! depend on interning order. Keys built from them are therefore
-//! process-local: they are compared within one process and never
-//! persisted.
+//! Digests hash content, never an interned id: a register contributes
+//! its name's digest, cached by the register interner, and a posted
+//! subvalue its value's digest, cached by the value interner. Registers
+//! combine by XOR, so neither interning order nor write order matters,
+//! and a key or [`fold`]ed fingerprint is the same in every process.
 
-use crate::ValueId;
+use crate::value::ValueDigests;
+use crate::{Value, ValueId};
 use simsym_graph::ProcId;
 use std::hash::{Hash, Hasher};
 
@@ -39,35 +42,31 @@ fn fmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A two-lane streaming hasher with a 128-bit result. Each lane folds
-/// every word in with its own multiply–xorshift step; [`finish128`]
-/// finalizes both lanes with [`fmix`].
-///
-/// [`finish128`]: DigestHasher::finish128
-pub(crate) struct DigestHasher {
+/// A two-lane streaming hasher with a 128-bit result, of which
+/// [`Hasher::finish`] returns the low half. Unlike std's default hasher,
+/// its output is fixed by this code, so it may be persisted.
+pub struct DigestHasher {
     a: u64,
     b: u64,
 }
 
-impl DigestHasher {
-    pub(crate) fn new() -> DigestHasher {
+impl Default for DigestHasher {
+    /// A hasher in its fixed initial state.
+    fn default() -> Self {
         DigestHasher {
             a: LANE_A_SEED,
             b: LANE_B_SEED,
         }
     }
+}
 
+impl DigestHasher {
     #[inline]
     fn absorb(&mut self, x: u64) {
         let a = (self.a ^ x).wrapping_mul(LANE_A_MUL);
         self.a = a ^ (a >> 32);
         let b = (self.b ^ x).wrapping_mul(LANE_B_MUL);
         self.b = b ^ (b >> 29);
-    }
-
-    pub(crate) fn finish128(&self) -> Digest {
-        let lo = fmix(self.a);
-        (lo, fmix(self.b ^ lo))
     }
 }
 
@@ -90,10 +89,6 @@ impl Hasher for DigestHasher {
         self.absorb(u64::from(i));
     }
 
-    fn write_u16(&mut self, i: u16) {
-        self.absorb(u64::from(i));
-    }
-
     fn write_u32(&mut self, i: u32) {
         self.absorb(u64::from(i));
     }
@@ -107,15 +102,21 @@ impl Hasher for DigestHasher {
     }
 
     fn finish(&self) -> u64 {
-        self.finish128().0
+        fmix(self.a)
     }
 }
 
 /// The 128-bit digest of anything hashable.
 pub(crate) fn digest_of<T: Hash + ?Sized>(t: &T) -> Digest {
-    let mut h = DigestHasher::new();
+    hash_from((LANE_A_SEED, LANE_B_SEED), t)
+}
+
+/// `t` hashed from lane state `(a, b)`, both lanes finalized.
+fn hash_from<T: Hash + ?Sized>((a, b): Digest, t: &T) -> Digest {
+    let mut h = DigestHasher { a, b };
     t.hash(&mut h);
-    h.finish128()
+    let lo = h.finish();
+    (lo, fmix(h.b ^ lo))
 }
 
 /// A bijection of the 128-bit block for each `key`: distinct blocks stay
@@ -136,13 +137,21 @@ pub(crate) fn place(position: usize, digest: Digest) -> Digest {
     )
 }
 
-/// One posted subvalue's term in a Q variable's digest: `owner` (a
-/// processor index) posted the subvalue interned as `vid`.
+/// A set register's term in a local-state digest: the value hashed by a
+/// hasher seeded with the register name's digest. States XOR one term
+/// per register, so neither write order nor interning order matters.
 #[inline]
-pub(crate) fn owner_term(owner: usize, vid: ValueId) -> Digest {
+pub(crate) fn register_term(name: Digest, value: &Value) -> Digest {
+    hash_from(name, value)
+}
+
+/// One posted subvalue's term in a Q variable's digest: `owner` (a
+/// processor index) posted a subvalue with content digest `value`.
+#[inline]
+pub(crate) fn owner_term(owner: usize, value: Digest) -> Digest {
     keyed_mix(
         (owner as u64 ^ OWNER_SALT).wrapping_mul(LANE_B_MUL),
-        (u64::from(vid.raw()), OWNER_SALT),
+        (value.0, value.1 ^ OWNER_SALT),
     )
 }
 
@@ -162,21 +171,27 @@ pub(crate) fn rename_owners(
     mut digest: Digest,
     owners: &[(ProcId, ValueId)],
     perm: &[usize],
+    values: &ValueDigests,
 ) -> Digest {
     for &(p, vid) in owners {
         let image = perm[p.index()];
         if image != p.index() {
-            xor_into(&mut digest, owner_term(p.index(), vid));
-            xor_into(&mut digest, owner_term(image, vid));
+            let value = values.get(vid);
+            xor_into(&mut digest, owner_term(p.index(), value));
+            xor_into(&mut digest, owner_term(image, value));
         }
     }
     digest
 }
 
+/// The 64-bit fingerprint of a 128-bit state key.
+pub(crate) fn fold((lo, hi): Digest) -> u64 {
+    lo ^ hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
 
     #[test]
     fn byte_tails_are_length_framed() {
@@ -197,10 +212,23 @@ mod tests {
 
     #[test]
     fn owner_terms_separate_owner_and_value() {
-        let v1 = ValueId::intern(&Value::from(1));
-        let v2 = ValueId::intern(&Value::from(2));
+        let (v1, v2) = (digest_of(&Value::from(1)), digest_of(&Value::from(2)));
         assert_ne!(owner_term(0, v1), owner_term(1, v1));
         assert_ne!(owner_term(0, v1), owner_term(0, v2));
         assert_ne!(owner_term(0, v2), owner_term(1, v1));
+    }
+
+    #[test]
+    fn register_terms_separate_name_and_value() {
+        let (x, y) = (digest_of("x"), digest_of("y"));
+        let (one, two) = (Value::from(1), Value::from(2));
+        assert_ne!(register_term(x, &one), register_term(y, &one));
+        assert_ne!(register_term(x, &one), register_term(x, &two));
+        // Swapping the values of two registers changes the sum.
+        let mut a = register_term(x, &one);
+        xor_into(&mut a, register_term(y, &two));
+        let mut b = register_term(x, &two);
+        xor_into(&mut b, register_term(y, &one));
+        assert_ne!(a, b);
     }
 }

@@ -18,13 +18,13 @@
 //! processor to the very edge of every `k`-window, probing how tight the
 //! bound of Theorem 1 really is.
 
+use crate::digest::DigestHasher;
 use crate::engine::System;
 use crate::journal::{JournalSpec, StableStore};
 use crate::{LocalState, Machine, OpRecord, ScheduleKind, Scheduler, StepOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsym_graph::ProcId;
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -652,7 +652,7 @@ impl<S: FaultableSystem> System for Faulty<S> {
     }
 
     fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut h = DigestHasher::default();
         self.inner.fingerprint().hash(&mut h);
         self.crashed.hash(&mut h);
         if let Some(journal) = &self.journal {

@@ -33,8 +33,8 @@
 //! Everything here is plain data — no I/O, no clocks — so a journaled
 //! faulted run replays byte-identically.
 
+use crate::digest::DigestHasher;
 use crate::{LocalState, RegId, Value};
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
@@ -210,7 +210,7 @@ impl StableStore {
 /// Hashes every entry of every log. Registers hash by name, so the
 /// digest does not depend on interning order.
 fn log_digest(log: &[Vec<JournalEntry>]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = DigestHasher::default();
     for per_proc in log {
         per_proc.len().hash(&mut h);
         for e in per_proc {

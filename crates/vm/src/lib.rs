@@ -59,6 +59,7 @@ mod schedule;
 mod state;
 mod value;
 
+pub use digest::DigestHasher;
 pub use engine::compat::{run, run_until};
 /// Historical name for [`Probe`]: observers were called monitors before the
 /// engine unified the run loops. External impls keep compiling.

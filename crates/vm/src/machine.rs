@@ -1,14 +1,13 @@
 //! The executable system: graph + instruction set + program + state.
 
-use crate::digest::{owner_term, place, xor_into, Digest};
+use crate::digest::{fold, owner_term, place, xor_into, Digest};
+use crate::value::ValueDigests;
 use crate::{InstructionSet, LocalState, Program, SharedVar, SystemInit, Value, ValueId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simsym_graph::{NameId, ProcId, SystemGraph, VarId};
-use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Errors constructing a [`Machine`].
@@ -421,8 +420,7 @@ struct PostDelta {
 /// in `O(k)` instead of rehashing the whole state.
 #[derive(Clone)]
 struct IncFp {
-    lo: u64,
-    hi: u64,
+    key: Digest,
     /// Position-free node digests ([`LocalState::digest`],
     /// [`SharedVar::digest`]), processors first, then variables. The
     /// similarity quotient reads them to build its permuted keys.
@@ -444,9 +442,8 @@ impl IncFp {
     fn set(&mut self, idx: usize, digest: Digest) -> Digest {
         let old = std::mem::replace(&mut self.nodes[idx], digest);
         if old != digest {
-            let (a, b) = (place(idx, old), place(idx, digest));
-            self.lo ^= a.0 ^ b.0;
-            self.hi ^= a.1 ^ b.1;
+            xor_into(&mut self.key, place(idx, old));
+            xor_into(&mut self.key, place(idx, digest));
         }
         old
     }
@@ -751,11 +748,12 @@ impl Machine {
             let idx = pc + v.index();
             let digest = match self.last_post_delta {
                 Some(d) if d.var == v => {
+                    let values = ValueDigests::read();
                     let mut digest = fp.nodes[idx];
                     if let Some(pv) = d.prev {
-                        xor_into(&mut digest, owner_term(d.owner.index(), pv));
+                        xor_into(&mut digest, owner_term(d.owner.index(), values.get(pv)));
                     }
-                    xor_into(&mut digest, owner_term(d.owner.index(), d.new));
+                    xor_into(&mut digest, owner_term(d.owner.index(), values.get(d.new)));
                     digest
                 }
                 _ => self.vars[v.index()].digest(),
@@ -798,20 +796,19 @@ impl Machine {
         let nodes: Vec<Digest> = (0..self.locals.len() + self.vars.len())
             .map(|i| self.node_digest(i))
             .collect();
-        let (lo, hi) = placed_xor(nodes.iter().copied());
-        self.inc_fp = Some(IncFp { lo, hi, nodes });
+        let key = placed_xor(nodes.iter().copied());
+        self.inc_fp = Some(IncFp { key, nodes });
     }
 
     /// The incrementally maintained 128-bit fingerprint, if enabled.
     /// Always equal to [`Machine::wide_fingerprint`] — property-tested in
     /// the vm test suite.
     pub fn incremental_fingerprint(&self) -> Option<(u64, u64)> {
-        self.inc_fp.as_ref().map(|fp| (fp.lo, fp.hi))
+        self.inc_fp.as_ref().map(|fp| fp.key)
     }
 
     /// The wide (128-bit) fingerprint recomputed from scratch — the
     /// reference value the incremental fingerprint must always match.
-    /// Like the node digests it is built from, it is process-local.
     pub fn wide_fingerprint(&self) -> (u64, u64) {
         placed_xor((0..self.locals.len() + self.vars.len()).map(|i| self.node_digest(i)))
     }
@@ -856,12 +853,12 @@ impl Machine {
         (self.locals.clone(), self.vars.clone())
     }
 
-    /// A 64-bit fingerprint of the global state.
+    /// A 64-bit fingerprint of the global state: the 128-bit key folded.
+    /// A run that reads it after every step should first
+    /// [enable](Machine::enable_incremental_fingerprint) the incremental key.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.locals.hash(&mut h);
-        self.vars.hash(&mut h);
-        h.finish()
+        let key = self.incremental_fingerprint();
+        fold(key.unwrap_or_else(|| self.wide_fingerprint()))
     }
 }
 

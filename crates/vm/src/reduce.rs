@@ -22,9 +22,9 @@
 //!   node, and the quotient places each digest at its image under `π`
 //!   instead, renaming Q subvalue owners by swapping only the terms of
 //!   owners `π` moves. No state is rehashed per permutation, and a
-//!   trivial group costs nothing over [`Identity`]. The keys hash
-//!   interned ids, so they depend on interning order: they are
-//!   process-local and never persisted;
+//!   trivial group costs nothing over [`Identity`]. The digests hash
+//!   register names and values, never interned ids, so a key is the
+//!   same in every process;
 //! * **outcome closure** — the quotient search visits one orbit
 //!   representative, so every observed selected-set is re-expanded
 //!   through `Γ` ([`Reducer::expand_outcome`]); the identity oracle's
@@ -41,6 +41,7 @@
 //! skipped.
 
 use crate::digest::{place, rename_owners, xor_into, Digest};
+use crate::value::ValueDigests;
 use crate::{Machine, SystemInit, Value};
 use simsym_graph::automorphism::{automorphism_group, Automorphism};
 use simsym_graph::{CsrAdjacency, ProcId, SystemGraph, VarId};
@@ -279,6 +280,7 @@ impl Reducer for SimilarityQuotient {
         let vars = m.shared_vars();
         let digests = m.node_digests(&mut self.scratch);
         debug_assert_eq!(digests.len(), pc + vars.len());
+        let values = ValueDigests::read();
         let mut best = (u64::MAX, u64::MAX);
         for perm in &self.perms {
             let mut key = (0, 0);
@@ -286,7 +288,7 @@ impl Reducer for SimilarityQuotient {
                 xor_into(&mut key, place(perm[i], d));
             }
             for (j, (&d, v)) in digests[pc..].iter().zip(vars).enumerate() {
-                let d = rename_owners(d, v.sub_owners(), perm);
+                let d = rename_owners(d, v.sub_owners(), perm, &values);
                 xor_into(&mut key, place(perm[pc + j], d));
             }
             best = best.min(key);

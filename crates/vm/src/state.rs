@@ -9,15 +9,15 @@
 //! [`LocalState::set`]) is a thin shim over the interner, so existing
 //! programs, fixtures and diagnostics are unaffected.
 //!
-//! Equality, ordering, hashing and display remain **name-based**: they
-//! iterate the set registers in lexicographic name order, exactly as the
-//! old `BTreeMap` representation did, so state fingerprints and trace JSON
-//! are byte-identical to the previous layout and independent of interning
-//! order. `LocalState::digest` is the exception: the machine's
-//! state keys hash registers in `RegId` order, for speed, and stay
-//! process-local.
+//! Ordering and display remain **name-based**: they iterate the set
+//! registers in lexicographic name order, exactly as the old `BTreeMap`
+//! representation did. Hashing goes through the node digests of
+//! [`crate::digest`]: a register contributes its name's digest, which the
+//! interner caches with the id, so a digest never depends on interning
+//! order and is the same in every process.
 
-use crate::digest::{digest_of, owner_term, xor_into, Digest, DigestHasher};
+use crate::digest::{digest_of, owner_term, register_term, xor_into, Digest};
+use crate::value::ValueDigests;
 use crate::{Value, ValueId};
 use serde::{Deserialize, Serialize};
 use simsym_graph::{ProcId, SystemGraph};
@@ -52,7 +52,7 @@ impl RegId {
         // Register names are a small, program-defined vocabulary; leaking
         // each distinct name once buys `&'static str` access everywhere.
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        w.names.push(leaked);
+        w.names.push((leaked, digest_of(leaked)));
         w.by_name.insert(leaked, id);
         RegId(id)
     }
@@ -69,7 +69,7 @@ impl RegId {
 
     /// The interned name.
     pub fn name(self) -> &'static str {
-        interner().read().expect("interner lock").names[self.0 as usize]
+        interner().read().expect("interner lock").names[self.0 as usize].0
     }
 
     /// The dense index of this id.
@@ -85,7 +85,9 @@ impl fmt::Display for RegId {
 }
 
 struct RegInterner {
-    names: Vec<&'static str>,
+    /// Each interned name with its digest, by id: a local-state digest
+    /// hashes the name's digest, never the id.
+    names: Vec<(&'static str, Digest)>,
     by_name: HashMap<&'static str, u32>,
 }
 
@@ -99,8 +101,8 @@ fn interner() -> &'static RwLock<RegInterner> {
     })
 }
 
-/// Snapshot of the interner's name table for bulk id→name resolution
-/// (one lock acquisition instead of one per register).
+/// Snapshot of the interner's name table for bulk id→name or id→digest
+/// resolution (one lock acquisition instead of one per register).
 fn interned_names() -> RwLockReadGuard<'static, RegInterner> {
     interner().read().expect("interner lock")
 }
@@ -225,21 +227,15 @@ impl LocalState {
     }
 
     /// The state's position-free 128-bit digest: `pc`, `selected` and
-    /// the set registers in [`RegId`] order. Unlike the name-ordered
-    /// [`Hash`], it takes no interner lock, allocates nothing and hashes
-    /// no name strings, so it depends on interning order and is only
-    /// comparable within one process. Equal states have equal digests,
-    /// whatever order their registers were set in.
+    /// one term per set register, keyed by the register name's cached
+    /// digest. One interner read per call; nothing is allocated.
     pub(crate) fn digest(&self) -> Digest {
-        let mut h = DigestHasher::new();
-        h.write_u32(self.pc);
-        h.write_u8(u8::from(self.selected));
-        h.write_usize(self.regs.len());
+        let names = interned_names();
+        let mut regs = (0, 0);
         for (r, v) in &self.regs {
-            h.write_u32(r.0);
-            v.hash(&mut h);
+            xor_into(&mut regs, register_term(names.names[r.index()].1, v));
         }
-        h.finish128()
+        digest_of(&(self.pc, self.selected, self.regs.len(), regs))
     }
 
     /// Iterates over `(register, value)` pairs in name order.
@@ -256,13 +252,13 @@ impl LocalState {
 
     /// The set registers as `(name, value)` pairs sorted by name — the
     /// iteration order of the old `BTreeMap` representation, on which
-    /// equality, ordering, hashing and display are all defined.
+    /// ordering and display are defined.
     fn sorted_entries(&self) -> Vec<(&'static str, &Value)> {
         let names = interned_names();
         let mut entries: Vec<(&'static str, &Value)> = self
             .regs
             .iter()
-            .map(|(r, v)| (names.names[r.index()], v))
+            .map(|(r, v)| (names.names[r.index()].0, v))
             .collect();
         entries.sort_unstable_by_key(|&(name, _)| name);
         entries
@@ -296,18 +292,7 @@ impl Ord for LocalState {
 
 impl Hash for LocalState {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Field-for-field reproduction of the old derived implementation
-        // over `(pc, selected, BTreeMap<String, Value>)`: the map hashed a
-        // length prefix and then each `(name, value)` pair in name order.
-        // State fingerprints (and thus trace JSON) depend on this.
-        self.pc.hash(state);
-        self.selected.hash(state);
-        let entries = self.sorted_entries();
-        state.write_usize(entries.len());
-        for (name, value) in entries {
-            name.hash(state);
-            value.hash(state);
-        }
+        self.digest().hash(state);
     }
 }
 
@@ -341,9 +326,8 @@ impl fmt::Display for LocalState {
 /// once: an `owner → ValueId` association (the paper's per-processor
 /// subvalue), plus a cached canonical `(ValueId, count)` multiset kept
 /// sorted by *value* order. `post` patches both incrementally, so `peek`
-/// never clones or sorts. Equality, ordering and hashing are defined over
-/// the resolved values in owner order, byte-identical to the previous
-/// `BTreeMap<ProcId, Value>` representation.
+/// never clones or sorts. Ordering is defined over the resolved values
+/// in owner order.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum SharedVar {
     /// A single-celled variable with a lock bit (S and L).
@@ -513,14 +497,12 @@ impl SharedVar {
     /// of the owners it moves.
     pub(crate) fn digest(&self) -> Digest {
         match self {
-            SharedVar::Plain { .. } => digest_of(self),
+            SharedVar::Plain { value, locked } => digest_of(&(value, locked)),
             SharedVar::Multi { base, owners, .. } => {
-                let mut h = DigestHasher::new();
-                std::mem::discriminant(self).hash(&mut h);
-                base.hash(&mut h);
-                let mut d = h.finish128();
+                let values = ValueDigests::read();
+                let mut d = digest_of(base);
                 for &(p, vid) in owners {
-                    xor_into(&mut d, owner_term(p.index(), vid));
+                    xor_into(&mut d, owner_term(p.index(), values.get(vid)));
                 }
                 d
             }
@@ -646,25 +628,7 @@ impl Ord for SharedVar {
 
 impl Hash for SharedVar {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Byte-identical to the derived impl over the old representation:
-        // discriminant, then fields, with `BTreeMap<ProcId, Value>`
-        // hashing a length prefix and each (owner, value) pair in owner
-        // order. Machine fingerprints (and thus trace JSON) depend on it.
-        std::mem::discriminant(self).hash(state);
-        match self {
-            SharedVar::Plain { value, locked } => {
-                value.hash(state);
-                locked.hash(state);
-            }
-            SharedVar::Multi { base, owners, .. } => {
-                base.hash(state);
-                state.write_usize(owners.len());
-                for &(p, vid) in owners {
-                    p.hash(state);
-                    vid.resolve().hash(state);
-                }
-            }
-        }
+        self.digest().hash(state);
     }
 }
 
@@ -879,8 +843,9 @@ mod tests {
         w.post_sub(ProcId::new(0), Value::from(5));
         let id = [0usize, 1];
         let swap = [1usize, 0];
-        let renamed =
-            |x: &SharedVar, perm: &[usize]| rename_owners(x.digest(), x.sub_owners(), perm);
+        let renamed = |x: &SharedVar, perm: &[usize]| {
+            rename_owners(x.digest(), x.sub_owners(), perm, &ValueDigests::read())
+        };
         assert_ne!(v.digest(), w.digest());
         assert_eq!(renamed(&v, &id), v.digest());
         assert_eq!(renamed(&v, &swap), w.digest());
@@ -929,6 +894,31 @@ mod tests {
         assert_ne!(f.digest(), b.digest());
         f.unset("digest_order_unit");
         assert_eq!(f.digest(), b.digest());
+    }
+
+    #[test]
+    fn digests_hash_names_and_values_not_interned_ids() {
+        // What a process that interned the names and values in any other
+        // order computes: the digests from content alone.
+        let mut s = LocalState::new();
+        s.set("content_digest_b", Value::from(2));
+        s.set(
+            "content_digest_a",
+            Value::tuple([Value::from(1), Value::Unit]),
+        );
+        s.pc = 3;
+        let content = [
+            (
+                "content_digest_a",
+                Value::tuple([Value::from(1), Value::Unit]),
+            ),
+            ("content_digest_b", Value::from(2)),
+        ];
+        let mut regs = (0, 0);
+        for (name, value) in content.iter().rev() {
+            xor_into(&mut regs, register_term(digest_of(*name), value));
+        }
+        assert_eq!(s.digest(), digest_of(&(3u32, false, 2usize, regs)));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! states of different processors for equality, and canonical ordering keeps
 //! every container deterministic.
 
+use crate::digest::{digest_of, Digest};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 /// A dynamic value: the contents of a register, a shared variable, or a
 /// posted subvalue.
@@ -189,7 +190,9 @@ impl Value {
 pub struct ValueId(u32);
 
 struct ValueInterner {
-    values: Vec<&'static Value>,
+    /// Each interned value with its content digest, by id: a Q
+    /// variable's owner terms hash the digest, never the id.
+    values: Vec<(&'static Value, Digest)>,
     by_value: HashMap<&'static Value, u32>,
 }
 
@@ -223,7 +226,7 @@ impl ValueId {
         }
         let id = u32::try_from(w.values.len()).expect("value intern table overflow");
         let leaked: &'static Value = Box::leak(Box::new(value.clone()));
-        w.values.push(leaked);
+        w.values.push((leaked, digest_of(leaked)));
         w.by_value.insert(leaked, id);
         ValueId(id)
     }
@@ -234,16 +237,26 @@ impl ValueId {
             .read()
             .expect("value interner poisoned")
             .values[self.0 as usize]
+            .0
     }
 
     /// The dense index of this id.
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
 
-    /// The raw u32 payload (stable within a process run only).
-    pub fn raw(self) -> u32 {
-        self.0
+/// The interned values' content digests, read under one lock for any
+/// number of lookups.
+pub(crate) struct ValueDigests(RwLockReadGuard<'static, ValueInterner>);
+
+impl ValueDigests {
+    pub(crate) fn read() -> ValueDigests {
+        ValueDigests(value_interner().read().expect("value interner poisoned"))
+    }
+
+    pub(crate) fn get(&self, vid: ValueId) -> Digest {
+        self.0.values[vid.index()].1
     }
 }
 
@@ -429,7 +442,8 @@ mod tests {
         let c = ValueId::intern(&Value::set([Value::from(1), Value::from(2)]));
         assert_ne!(a, c);
         assert_eq!(c.resolve().len(), Some(2));
-        assert_eq!(c.index(), c.raw() as usize);
+        // The cached digest is the content's, whatever the id.
+        assert_eq!(ValueDigests::read().get(c), digest_of(c.resolve()));
     }
 
     #[test]

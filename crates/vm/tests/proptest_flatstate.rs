@@ -1,15 +1,17 @@
 //! Property tests for the flat-state hot path: the incrementally
 //! maintained 128-bit fingerprint agrees with the full hash after every
-//! step, undo reverses any step exactly, and the undo-based explorer
-//! visits the same state space as the clone-per-branch reference.
+//! step, and so does the 64-bit fingerprint folded from it, bare and
+//! under the fault layer's journal and crash resets; undo reverses any
+//! step exactly, and the undo-based explorer visits the same state space
+//! as the clone-per-branch reference.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simsym_graph::{topology, ProcId, SystemGraph};
 use simsym_vm::{
-    explore, explore_reference, ExploreConfig, FnProgram, InstructionSet, Machine, SystemInit,
-    Value,
+    explore, explore_reference, ExploreConfig, FaultPlan, Faulty, FnProgram, InstructionSet,
+    JournalSpec, Machine, System, SystemInit, Value,
 };
 use std::sync::Arc;
 
@@ -59,6 +61,25 @@ fn build_machine(g: SystemGraph) -> Machine {
     Machine::new(g, InstructionSet::L, prog, &init).unwrap()
 }
 
+/// A Q workload for the fault layer: posts that patch a variable's
+/// digest in place, peeks, and a register the journal tracks.
+fn build_q_machine(n: usize) -> Machine {
+    let g = Arc::new(topology::uniform_ring(n));
+    let init = SystemInit::with_marked(&g, &[ProcId::new(0)]);
+    let prog = Arc::new(FnProgram::new("post-peek", |local, ops| {
+        let names = ops.all_names();
+        let name = names[(local.pc as usize) % names.len()];
+        if local.pc % 2 == 0 {
+            ops.post(name, Value::from(i64::from(local.pc % 4)));
+        } else {
+            let seen = ops.peek(name).to_bag();
+            local.set("seen", seen);
+        }
+        local.pc += 1;
+    }));
+    Machine::new(g, InstructionSet::Q, prog, &init).unwrap()
+}
+
 /// Materializes a proptest index schedule onto the machine's processors.
 fn schedule(m: &Machine, raw: &[usize]) -> Vec<ProcId> {
     let n = m.graph().processor_count();
@@ -74,15 +95,47 @@ proptest! {
         raw in prop::collection::vec(0usize..8, 1..60)
     ) {
         let mut m = build_machine(g);
+        let mut scratch = m.clone();
         m.enable_incremental_fingerprint();
         prop_assert_eq!(m.incremental_fingerprint().unwrap(), m.wide_fingerprint());
         for p in schedule(&m, &raw) {
             m.step(p);
+            scratch.step(p);
             prop_assert_eq!(
                 m.incremental_fingerprint().unwrap(),
                 m.wide_fingerprint(),
                 "fingerprint drift after stepping {}", p
             );
+            prop_assert_eq!(System::fingerprint(&m), System::fingerprint(&scratch));
+        }
+    }
+
+    #[test]
+    fn faulted_fingerprint_is_the_same_incremental_or_not(
+        n in 3usize..6,
+        plan_seed in any::<u64>(),
+        replay in any::<bool>(),
+        raw in prop::collection::vec(0usize..8, 1..80)
+    ) {
+        // Resets and journal replays restore a local state wholesale;
+        // journaled commits feed the store's digest.
+        let plan = FaultPlan::seeded_crash_resets(n, &[ProcId::new(0)], plan_seed, 30);
+        let plan = if replay { plan.with_replay_recoveries() } else { plan };
+        let mut inc = build_q_machine(n);
+        inc.enable_incremental_fingerprint();
+        let mut inc = Faulty::with_journal(inc, plan.clone(), JournalSpec::registers(["seen"]));
+        let mut scratch = Faulty::with_journal(
+            build_q_machine(n), plan, JournalSpec::registers(["seen"]),
+        );
+        for p in raw.iter().map(|&i| ProcId::new(i % n)) {
+            inc.step(p);
+            scratch.step(p);
+            prop_assert_eq!(
+                inc.inner().incremental_fingerprint().unwrap(),
+                inc.inner().wide_fingerprint(),
+                "fingerprint drift after stepping {}", p
+            );
+            prop_assert_eq!(inc.fingerprint(), scratch.fingerprint());
         }
     }
 

@@ -64,13 +64,15 @@ fn analyze_trace(
     let prog: Arc<dyn Program> = Arc::new(prog);
     let graph = Arc::new(graph.clone());
     let fresh = || {
-        Machine::new(
+        let mut m = Machine::new(
             Arc::clone(&graph),
             InstructionSet::Q,
             Arc::clone(&prog),
             init,
         )
-        .map_err(|e| e.to_string())
+        .map_err(|e| e.to_string())?;
+        m.enable_incremental_fingerprint();
+        Ok::<_, String>(m)
     };
 
     let mut machine = fresh()?;

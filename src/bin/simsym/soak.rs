@@ -8,7 +8,6 @@ use crate::CmdOut;
 use simsym::check::{self, Diagnostic, FaultToleranceChecker};
 use simsym::graph::SystemGraph;
 use simsym::vm::engine::sweep::{sweep_jobs, SweepConfig, SweepScheduler};
-use simsym::vm::engine::trace::TraceRecorder;
 use simsym::vm::faults::{FaultPlan, FaultSched, Faulty};
 use simsym::vm::{engine, shrink_counterexample, FixedSequence, Machine, ReproArtifact, Shrunk};
 use simsym_graph::ProcId;
@@ -210,13 +209,12 @@ pub fn soak(args: &[String]) -> Result<CmdOut, String> {
         };
         let mut f = sel.faulty(plan.clone(), opts.journal);
         let mut sched = FaultSched::new(kind.scheduler::<Faulty<Machine>>(procs, seed));
-        let mut recorder = TraceRecorder::new(format!("{}(seed={seed})", kind.label()), "chaos");
         let mut checker = FaultToleranceChecker::strict();
         let report = engine::run(
             &mut f,
             &mut sched,
             max_steps,
-            &mut [&mut recorder, &mut checker],
+            &mut [&mut checker],
             &mut engine::stop::Never,
         );
         let violation = checker
@@ -225,7 +223,7 @@ pub fn soak(args: &[String]) -> Result<CmdOut, String> {
             .find(|d| d.severity == check::Severity::Error)
             .map(|d| d.code.to_owned());
         let schedule = if violation.is_some() {
-            recorder.into_trace().schedule()
+            report.schedule
         } else {
             Vec::new()
         };
