@@ -84,50 +84,7 @@ impl StaticLockGraph {
     /// the variable sequence around the cycle starting from its smallest
     /// member, closing edge implicit.
     pub fn cycles(&self) -> Vec<Vec<VarId>> {
-        let mut cycles = Vec::new();
-        let mut in_reported: BTreeSet<VarId> = BTreeSet::new();
-        for &start in self.edges.keys() {
-            if in_reported.contains(&start) {
-                continue;
-            }
-            if let Some(cycle) = self.cycle_through(start) {
-                in_reported.extend(cycle.iter().copied());
-                cycles.push(cycle);
-            }
-        }
-        cycles
-    }
-
-    fn cycle_through(&self, start: VarId) -> Option<Vec<VarId>> {
-        let mut path = vec![start];
-        let mut on_path: BTreeSet<VarId> = [start].into();
-        let mut visited: BTreeSet<VarId> = BTreeSet::new();
-        let mut cursors = vec![self.successors(start)];
-        while let Some(cursor) = cursors.last_mut() {
-            match cursor.next() {
-                Some(&next) if next == start => return Some(path),
-                Some(&next) => {
-                    if on_path.contains(&next) || visited.contains(&next) {
-                        continue;
-                    }
-                    on_path.insert(next);
-                    path.push(next);
-                    cursors.push(self.successors(next));
-                }
-                None => {
-                    cursors.pop();
-                    let done = path.pop().expect("path tracks cursors");
-                    on_path.remove(&done);
-                    visited.insert(done);
-                }
-            }
-        }
-        None
-    }
-
-    fn successors(&self, v: VarId) -> std::collections::btree_set::Iter<'_, VarId> {
-        static EMPTY: BTreeSet<VarId> = BTreeSet::new();
-        self.edges.get(&v).unwrap_or(&EMPTY).iter()
+        crate::lock_order::witness_cycles(&self.edges, BTreeSet::iter)
     }
 
     /// One [`codes::STAT_LOCK_CYCLE`] error per witness cycle.

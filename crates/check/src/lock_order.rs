@@ -35,6 +35,57 @@ pub struct EdgeWitness {
     pub step: u64,
 }
 
+/// One witness cycle per strongly connected component of a successor map
+/// that contains one, in deterministic order: each a DFS path from the
+/// component's smallest member back to it, the closing edge implicit.
+/// `successors` lists a source's targets in ascending order.
+pub(crate) fn witness_cycles<'a, S, I>(
+    edges: &'a BTreeMap<VarId, S>,
+    successors: impl Fn(&'a S) -> I,
+) -> Vec<Vec<VarId>>
+where
+    I: Iterator<Item = &'a VarId>,
+{
+    let succ = |v: VarId| edges.get(&v).map(&successors).into_iter().flatten();
+    let mut cycles = Vec::new();
+    let mut in_reported_scc: BTreeSet<VarId> = BTreeSet::new();
+    'starts: for &start in edges.keys() {
+        if in_reported_scc.contains(&start) {
+            continue;
+        }
+        // Iterative DFS for a path from `start` back to `start`, with an
+        // explicit successor cursor per frame.
+        let mut path = vec![start];
+        let mut on_path: BTreeSet<VarId> = [start].into();
+        let mut visited: BTreeSet<VarId> = BTreeSet::new();
+        let mut cursors = vec![succ(start)];
+        while let Some(cursor) = cursors.last_mut() {
+            match cursor.next() {
+                Some(&next) if next == start => {
+                    in_reported_scc.extend(path.iter().copied());
+                    cycles.push(path);
+                    continue 'starts;
+                }
+                Some(&next) => {
+                    if on_path.contains(&next) || visited.contains(&next) {
+                        continue;
+                    }
+                    on_path.insert(next);
+                    path.push(next);
+                    cursors.push(succ(next));
+                }
+                None => {
+                    cursors.pop();
+                    let done = path.pop().expect("path tracks cursors");
+                    on_path.remove(&done);
+                    visited.insert(done);
+                }
+            }
+        }
+    }
+    cycles
+}
+
 /// The accumulated lock-order graph: `from → to` means some processor
 /// persistently waited on `to` while holding `from`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -68,53 +119,7 @@ impl LockOrderGraph {
     /// returned as the sequence of variables around it, starting from its
     /// smallest member; the closing edge back to the start is implicit.
     pub fn cycles(&self) -> Vec<Vec<VarId>> {
-        let mut cycles = Vec::new();
-        let mut in_reported_scc: BTreeSet<VarId> = BTreeSet::new();
-        for &start in self.edges.keys() {
-            if in_reported_scc.contains(&start) {
-                continue;
-            }
-            if let Some(cycle) = self.cycle_through(start) {
-                in_reported_scc.extend(cycle.iter().copied());
-                cycles.push(cycle);
-            }
-        }
-        cycles
-    }
-
-    /// DFS for a path from `start` back to `start`.
-    fn cycle_through(&self, start: VarId) -> Option<Vec<VarId>> {
-        let mut path = vec![start];
-        let mut on_path: BTreeSet<VarId> = [start].into();
-        let mut visited: BTreeSet<VarId> = BTreeSet::new();
-        // Iterative DFS with an explicit successor cursor per frame.
-        let mut cursors: Vec<std::collections::btree_map::Keys<'_, VarId, EdgeWitness>> =
-            vec![self.successors(start)];
-        while let Some(cursor) = cursors.last_mut() {
-            match cursor.next() {
-                Some(&next) if next == start => return Some(path),
-                Some(&next) => {
-                    if on_path.contains(&next) || visited.contains(&next) {
-                        continue;
-                    }
-                    on_path.insert(next);
-                    path.push(next);
-                    cursors.push(self.successors(next));
-                }
-                None => {
-                    cursors.pop();
-                    let done = path.pop().expect("path tracks cursors");
-                    on_path.remove(&done);
-                    visited.insert(done);
-                }
-            }
-        }
-        None
-    }
-
-    fn successors(&self, v: VarId) -> std::collections::btree_map::Keys<'_, VarId, EdgeWitness> {
-        static EMPTY: BTreeMap<VarId, EdgeWitness> = BTreeMap::new();
-        self.edges.get(&v).unwrap_or(&EMPTY).keys()
+        witness_cycles(&self.edges, BTreeMap::keys)
     }
 
     /// Renders the graph in Graphviz DOT syntax, following the conventions

@@ -17,9 +17,7 @@
 //!   winning slot from shared draws, choosing with probability 1 — the
 //!   §8 randomization dividend once more.
 
-use crate::distributed::{
-    encode_post, labels_to_set, set_to_labels, store_peek, update_suspects_phase, Alg2Tables,
-};
+use crate::distributed::{encode_post, labels_to_set, sweep_step, Alg2Tables};
 use crate::{hopcroft_similarity, InconsistentLabeling, Label, Model};
 use simsym_graph::{SystemGraph, VarId};
 use simsym_vm::{LocalState, Machine, Monitor, OpEnv, Program, SystemInit, Value, Violation};
@@ -151,33 +149,15 @@ impl Program for ChoiceCoordination {
             return;
         }
         let t = &self.tables;
-        let names = t.name_count() as u32;
         match local.get("phase").as_int() {
             Some(0) => {
                 // Learn my label (Algorithm 2).
-                if local.pc < names {
-                    let ni = local.pc as usize;
-                    let view = ops.peek(ops.name_at(ni));
-                    store_peek(local, ni, &view, t);
-                    local.pc += 1;
-                    if local.pc == names {
-                        update_suspects_phase(local, t, 0);
+                if let Some(pec) = sweep_step(local, ops, t, 0, None) {
+                    if pec.len() == 1 {
+                        local.set("mylabel", Value::Sym(pec[0]));
+                        local.set("phase", Value::from(1));
                     }
-                } else {
-                    let ni = (local.pc - names) as usize;
-                    let pec = local.get("pec");
-                    ops.post(ops.name_at(ni), encode_post(pec, ni, 0, Value::Unit));
-                    local.pc += 1;
-                    if local.pc == 2 * names {
-                        let pec = set_to_labels(&local.get("pec"));
-                        if pec.len() == 1 {
-                            local.set("mylabel", Value::Sym(pec[0]));
-                            local.set("phase", Value::from(1));
-                            local.pc = 0;
-                        } else {
-                            local.pc = 0;
-                        }
-                    }
+                    local.pc = 0;
                 }
             }
             Some(1) => {

@@ -16,9 +16,7 @@
 //!   consensus, crashing the leader prevents termination — the concrete
 //!   face of “no consensus under general schedules”.
 
-use crate::distributed::{
-    encode_post, labels_to_set, set_to_labels, store_peek, update_suspects_phase, Alg2Tables,
-};
+use crate::distributed::{encode_post, labels_to_set, sweep_step, Alg2Tables};
 use crate::{hopcroft_similarity, InconsistentLabeling, Label, Model};
 use simsym_graph::{ProcId, SystemGraph};
 use simsym_vm::{
@@ -109,33 +107,18 @@ impl Program for ConsensusViaSelection {
         match local.get("phase").as_int() {
             Some(0) => {
                 // Phase 0: Algorithm 2 — learn my label.
-                if local.pc < names {
-                    let ni = local.pc as usize;
-                    let view = ops.peek(ops.name_at(ni));
-                    store_peek(local, ni, &view, t);
-                    local.pc += 1;
-                    if local.pc == names {
-                        update_suspects_phase(local, t, 0);
-                    }
-                } else {
-                    let ni = (local.pc - names) as usize;
-                    let pec = local.get("pec");
-                    ops.post(ops.name_at(ni), encode_post(pec, ni, 0, Value::Unit));
-                    local.pc += 1;
-                    if local.pc == 2 * names {
-                        let pec = set_to_labels(&local.get("pec"));
-                        if pec.len() == 1 {
-                            local.set("mylabel", Value::Sym(pec[0]));
-                            if pec[0] == self.leader_label {
-                                // The leader decides its own input —
-                                // Validity is by construction.
-                                local.set("decision", local.get("init"));
-                                local.set("decided", Value::from(true));
-                            }
-                            local.set("phase", Value::from(1));
+                if let Some(pec) = sweep_step(local, ops, t, 0, None) {
+                    if pec.len() == 1 {
+                        local.set("mylabel", Value::Sym(pec[0]));
+                        if pec[0] == self.leader_label {
+                            // The leader decides its own input —
+                            // Validity is by construction.
+                            local.set("decision", local.get("init"));
+                            local.set("decided", Value::from(true));
                         }
-                        local.pc = 0;
+                        local.set("phase", Value::from(1));
                     }
+                    local.pc = 0;
                 }
             }
             Some(1) => {

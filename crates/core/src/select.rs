@@ -31,8 +31,8 @@
 //! schedules, so this restriction loses no generality for solvability.
 
 use crate::distributed::{
-    encode_post, labels_to_set, learner_regs, set_to_labels, store_peek, update_suspects_phase,
-    Alg2Tables, LabelLearner,
+    encode_post, labels_to_set, learner_regs, set_to_labels, store_peek, sweep_step,
+    update_suspects_phase, Alg2Tables, LabelLearner,
 };
 use crate::family::elite_from_member_labels;
 use crate::quotient::similarity_reducer;
@@ -230,74 +230,38 @@ impl Program for Algorithm3 {
         match local.reg(r.phase).as_int() {
             Some(A3_PHASE_A) => {
                 let t = &self.phase_a;
-                let names = t.name_count() as u32;
-                if names == 0 {
+                if t.name_count() == 0 {
                     // Degenerate: straight to phase B.
                     self.enter_phase_b(local);
                     return;
                 }
-                if local.pc < names {
-                    let ni = local.pc as usize;
-                    let name = ops.name_at(ni);
-                    let view = ops.peek(name);
-                    store_peek(local, ni, &view, t);
-                    local.pc += 1;
-                    if local.pc == names {
-                        update_suspects_phase(local, t, 0);
-                    }
-                } else {
-                    let ni = (local.pc - names) as usize;
-                    let name = ops.name_at(ni);
-                    let pec = local.reg(r.pec).clone();
-                    ops.post(name, encode_post(pec, ni, 0, Value::Unit));
-                    local.pc += 1;
-                    if local.pc == 2 * names {
-                        let pec = set_to_labels(local.reg(r.pec));
-                        if pec.len() == 1 {
-                            self.enter_phase_b(local);
-                        } else {
-                            local.pc = 0;
-                        }
+                if let Some(pec) = sweep_step(local, ops, t, 0, None) {
+                    if pec.len() == 1 {
+                        self.enter_phase_b(local);
+                    } else {
+                        local.pc = 0;
                     }
                 }
             }
             Some(A3_PHASE_B) => {
                 let t = &self.phase_b;
-                let names = t.name_count() as u32;
-                if names == 0 {
+                if t.name_count() == 0 {
                     local.set_reg(r.phase, Value::from(A3_DONE));
                     return;
                 }
-                if local.pc < names {
-                    let ni = local.pc as usize;
-                    let name = ops.name_at(ni);
-                    let view = ops.peek(name);
-                    // VEC was pre-seeded at the phase switch; store_peek
-                    // only records the posts.
-                    store_peek(local, ni, &view, t);
-                    local.pc += 1;
-                    if local.pc == names {
-                        update_suspects_phase(local, t, 1);
-                    }
-                } else {
-                    let ni = (local.pc - names) as usize;
-                    let name = ops.name_at(ni);
-                    let pec = local.reg(r.pec).clone();
-                    let prior = local.reg(r.alabel).clone();
-                    ops.post(name, encode_post(pec, ni, 1, prior));
-                    local.pc += 1;
-                    if local.pc == 2 * names {
-                        let pec = set_to_labels(local.reg(r.pec));
-                        if pec.len() == 1 {
-                            if let Some(elite) = &self.elite {
-                                if elite.contains(&pec[0]) {
-                                    local.selected = true;
-                                }
+                // VEC was pre-seeded at the phase switch; the peeks only
+                // record the posts. A finished processor leaves `pc` at
+                // the end of its last round.
+                if let Some(pec) = sweep_step(local, ops, t, 1, Some(r.alabel)) {
+                    if pec.len() == 1 {
+                        if let Some(elite) = &self.elite {
+                            if elite.contains(&pec[0]) {
+                                local.selected = true;
                             }
-                            local.set_reg(r.phase, Value::from(A3_DONE));
-                        } else {
-                            local.pc = 0;
                         }
+                        local.set_reg(r.phase, Value::from(A3_DONE));
+                    } else {
+                        local.pc = 0;
                     }
                 }
             }
