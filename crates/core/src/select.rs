@@ -868,8 +868,8 @@ mod tests {
     use simsym_graph::{topology, ProcId};
     use simsym_vm::engine::{self, stop, StopCondition};
     use simsym_vm::{
-        BoundedFairRandom, InstructionSet, Machine, RoundRobin, Scheduler, StabilityMonitor,
-        UniquenessMonitor,
+        BoundedFairRandom, InstructionSet, Machine, RandomFair, RoundRobin, Scheduler,
+        StabilityMonitor, UniquenessMonitor,
     };
 
     #[test]
@@ -1274,6 +1274,39 @@ mod tests {
             .fault_events()
             .iter()
             .any(|e| matches!(e, FaultEvent::Replayed { proc, .. } if *proc == winner)));
+    }
+
+    #[test]
+    fn select_on_marked_ring_64_elects_in_pinned_step_counts() {
+        // `SELECT(Σ)` on 64 processor labels, run to the first selection
+        // as `simsym elect` runs it. The step counts and the elected
+        // processor pin every register value the round computes on the
+        // way: any change to an alibi verdict moves them.
+        let g = topology::marked_ring(64);
+        let init = SystemInit::uniform(&g);
+        let prog: Arc<dyn Program> = Arc::new(
+            selection_program_q(&g, &init)
+                .expect("tables")
+                .expect("marked ring selects"),
+        );
+        let elect = |sched: &mut dyn Scheduler| {
+            let mut m = Machine::new(Arc::new(g.clone()), InstructionSet::Q, prog.clone(), &init)
+                .expect("machine");
+            let report = simsym_vm::run_until(&mut m, sched, 10_000_000, &mut [], |mach| {
+                mach.selected_count() >= 1
+            });
+            (m.selected(), report.steps)
+        };
+        let got = [
+            elect(&mut RoundRobin::new()),
+            elect(&mut RandomFair::seeded(1)),
+            elect(&mut RandomFair::seeded(7)),
+        ];
+        let p0 = vec![ProcId::new(0)];
+        assert_eq!(
+            got,
+            [(p0.clone(), 12_993), (p0.clone(), 13_929), (p0, 13_041)]
+        );
     }
 
     #[test]
