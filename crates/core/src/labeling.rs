@@ -326,6 +326,14 @@ impl NeighborhoodTable {
             .unwrap_or(0)
     }
 
+    /// The nonzero entries `(n, α, β, neighborhood_size(n, α, β))`, in
+    /// `(n, α, β)` order.
+    pub fn entries(&self) -> impl Iterator<Item = (NameId, Label, Label, usize)> + '_ {
+        self.table
+            .iter()
+            .map(|(&(name, alpha, beta), &size)| (name, alpha, beta, size))
+    }
+
     /// Total number of neighbors (over all names and labels) of a variable
     /// labeled `β`.
     pub fn degree_of_var_label(&self, var_label: Label) -> usize {
