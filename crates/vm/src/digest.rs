@@ -18,7 +18,7 @@
 //! combine by XOR, so neither interning order nor write order matters,
 //! and a key or [`fold`]ed fingerprint is the same in every process.
 
-use crate::value::ValueDigests;
+use crate::value::InternedValues;
 use crate::{Value, ValueId};
 use simsym_graph::ProcId;
 use std::hash::{Hash, Hasher};
@@ -171,12 +171,12 @@ pub(crate) fn rename_owners(
     mut digest: Digest,
     owners: &[(ProcId, ValueId)],
     perm: &[usize],
-    values: &ValueDigests,
+    values: &InternedValues,
 ) -> Digest {
     for &(p, vid) in owners {
         let image = perm[p.index()];
         if image != p.index() {
-            let value = values.get(vid);
+            let value = values.digest(vid);
             xor_into(&mut digest, owner_term(p.index(), value));
             xor_into(&mut digest, owner_term(image, value));
         }

@@ -1,7 +1,7 @@
 //! The executable system: graph + instruction set + program + state.
 
 use crate::digest::{fold, owner_term, place, xor_into, Digest};
-use crate::value::ValueDigests;
+use crate::value::InternedValues;
 use crate::{InstructionSet, LocalState, Program, SharedVar, SystemInit, Value, ValueId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -348,12 +348,15 @@ impl<'a> PeekView<'a> {
     /// cached counts, without expanding duplicates.
     pub fn to_bag(&self) -> Value {
         match &self.posted {
-            PeekPosted::Counts { counts, .. } => Value::Bag(std::sync::Arc::new(
-                counts
-                    .iter()
-                    .map(|&(vid, n)| (vid.resolve().clone(), n as usize))
-                    .collect(),
-            )),
+            PeekPosted::Counts { counts, .. } => {
+                let values = InternedValues::read();
+                Value::Bag(std::sync::Arc::new(
+                    counts
+                        .iter()
+                        .map(|&(vid, n)| (values.value(vid).clone(), n as usize))
+                        .collect(),
+                ))
+            }
             PeekPosted::Owned(vs) => Value::bag(vs.iter().cloned()),
         }
     }
@@ -425,6 +428,9 @@ struct IncFp {
     /// [`SharedVar::digest`]), processors first, then variables. The
     /// similarity quotient reads them to build its permuted keys.
     nodes: Vec<Digest>,
+    /// Each processor's [`LocalState::register_xor`]: an undoable step
+    /// hashes only the registers it changed.
+    regs: Vec<Digest>,
 }
 
 /// The XOR over nodes of each digest placed at its index: the identity
@@ -485,6 +491,8 @@ pub struct StepUndo {
     /// `(node index, previous digest)` for incremental-fingerprint
     /// restoration; empty when the fingerprint is not enabled.
     prev_digests: Vec<(usize, Digest)>,
+    /// The stepping processor's previous register XOR.
+    prev_regs: Digest,
 }
 
 impl Machine {
@@ -624,7 +632,7 @@ impl Machine {
             // record's target list, so lend the list out and back.
             let rec = self.last_record.as_mut().expect("exec_step records");
             let targets = std::mem::take(&mut rec.targets);
-            let _ = self.refresh_node_digests(p, &targets);
+            let _ = self.refresh_node_digests(p, None, &targets);
             self.last_record
                 .as_mut()
                 .expect("exec_step records")
@@ -654,11 +662,11 @@ impl Machine {
         let mut prev_vars = Vec::new();
         self.exec_step(p, Some(&mut prev_vars));
         self.steps += 1;
-        let prev_digests = if self.inc_fp.is_some() {
+        let (prev_digests, prev_regs) = if self.inc_fp.is_some() {
             let touched: Vec<VarId> = prev_vars.iter().map(VarUndo::var).collect();
-            self.refresh_node_digests(p, &touched)
+            self.refresh_node_digests(p, Some(&prev_local), &touched)
         } else {
-            Vec::new()
+            (Vec::new(), (0, 0))
         };
         StepUndo {
             proc: p,
@@ -666,6 +674,7 @@ impl Machine {
             prev_vars,
             prev_record,
             prev_digests,
+            prev_regs,
         }
     }
 
@@ -678,6 +687,7 @@ impl Machine {
             prev_vars,
             prev_record,
             prev_digests,
+            prev_regs,
         } = undo;
         self.locals[proc.index()] = prev_local;
         for u in prev_vars.into_iter().rev() {
@@ -694,6 +704,7 @@ impl Machine {
             for (idx, old) in prev_digests.into_iter().rev() {
                 fp.set(idx, old);
             }
+            fp.regs[proc.index()] = prev_regs;
         }
     }
 
@@ -728,32 +739,49 @@ impl Machine {
     }
 
     /// Recomputes the node digests of processor `p` and the given
-    /// variables, returning the previous `(node, digest)` pairs.
+    /// variables, returning the previous `(node, digest)` pairs and `p`'s
+    /// previous register XOR.
     ///
+    /// Given `p`'s state before the step, `prev_local`, only the
+    /// registers the step changed are rehashed; without it, all of them.
     /// A `post` step skips rehashing the posted multiset: its digest is
     /// patched from the step's [`PostDelta`] by XOR-ing out the owner's
     /// old subvalue term and XOR-ing in the new one — O(1) regardless of
     /// how many processors have posted.
-    fn refresh_node_digests(&mut self, p: ProcId, vars: &[VarId]) -> Vec<(usize, Digest)> {
+    fn refresh_node_digests(
+        &mut self,
+        p: ProcId,
+        prev_local: Option<&LocalState>,
+        vars: &[VarId],
+    ) -> (Vec<(usize, Digest)>, Digest) {
         let Some(fp) = self.inc_fp.as_mut() else {
-            return Vec::new();
+            return (Vec::new(), (0, 0));
         };
         let pc = self.locals.len();
+        let local = &self.locals[p.index()];
+        let prev_regs = fp.regs[p.index()];
+        match prev_local {
+            Some(before) => local.patch_register_xor(before, &mut fp.regs[p.index()]),
+            None => fp.regs[p.index()] = local.register_xor(),
+        }
         let mut prev: Vec<(usize, Digest)> = Vec::with_capacity(1 + vars.len());
         prev.push((
             p.index(),
-            fp.set(p.index(), self.locals[p.index()].digest()),
+            fp.set(p.index(), local.digest_with(fp.regs[p.index()])),
         ));
         for &v in vars {
             let idx = pc + v.index();
             let digest = match self.last_post_delta {
                 Some(d) if d.var == v => {
-                    let values = ValueDigests::read();
+                    let values = InternedValues::read();
                     let mut digest = fp.nodes[idx];
                     if let Some(pv) = d.prev {
-                        xor_into(&mut digest, owner_term(d.owner.index(), values.get(pv)));
+                        xor_into(&mut digest, owner_term(d.owner.index(), values.digest(pv)));
                     }
-                    xor_into(&mut digest, owner_term(d.owner.index(), values.get(d.new)));
+                    xor_into(
+                        &mut digest,
+                        owner_term(d.owner.index(), values.digest(d.new)),
+                    );
                     digest
                 }
                 _ => self.vars[v.index()].digest(),
@@ -765,7 +793,7 @@ impl Machine {
                 prev.push((idx, old));
             }
         }
-        prev
+        (prev, prev_regs)
     }
 
     /// The position-free digest of node `idx` (processors first),
@@ -797,7 +825,8 @@ impl Machine {
             .map(|i| self.node_digest(i))
             .collect();
         let key = placed_xor(nodes.iter().copied());
-        self.inc_fp = Some(IncFp { key, nodes });
+        let regs = self.locals.iter().map(LocalState::register_xor).collect();
+        self.inc_fp = Some(IncFp { key, nodes, regs });
     }
 
     /// The incrementally maintained 128-bit fingerprint, if enabled.
@@ -844,7 +873,7 @@ impl Machine {
     /// coherent when it is enabled.
     pub fn restore_local(&mut self, p: ProcId, state: LocalState) {
         self.locals[p.index()] = state;
-        let _ = self.refresh_node_digests(p, &[]);
+        let _ = self.refresh_node_digests(p, None, &[]);
     }
 
     /// A canonical snapshot of the global state (local states plus
@@ -1519,6 +1548,59 @@ mod tests {
                 inc.incremental_fingerprint(),
                 Some(fresh.wide_fingerprint())
             );
+        }
+    }
+
+    #[test]
+    fn kept_register_xors_match_scratch_ones_after_every_change() {
+        // Each step rewrites `same` with an equal value in fresh storage,
+        // sets `flag` to unit or unsets it, and bumps `count`. An undoable
+        // step patches the kept register XOR from what changed; a plain
+        // step and a crash reset recompute it; an undo restores it.
+        let prog = Arc::new(FnProgram::new("churn", |local, ops| {
+            let n = ops.name("n");
+            ops.post(n, Value::from(i64::from(local.pc % 2)));
+            local.set(
+                "same",
+                Value::tuple([Value::from(1), Value::set([Value::from(2)])]),
+            );
+            if local.pc % 3 == 1 {
+                local.unset("flag");
+            } else {
+                local.set("flag", Value::Unit);
+            }
+            local.set("count", Value::from(i64::from(local.pc)));
+            local.pc += 1;
+        }));
+        let mut m = machine_with(InstructionSet::Q, prog);
+        m.enable_incremental_fingerprint();
+        let check = |m: &Machine| {
+            let fp = m.inc_fp.as_ref().expect("enabled");
+            for (p, local) in m.locals.iter().enumerate() {
+                assert_eq!(fp.regs[p], local.register_xor(), "p{p}");
+            }
+            assert_eq!(m.incremental_fingerprint(), Some(m.wide_fingerprint()));
+        };
+        let mut undos = Vec::new();
+        for p in [0, 1, 0, 0, 1, 1, 0, 0] {
+            undos.push(m.step_undoable(ProcId::new(p)));
+            check(&m);
+        }
+        while let Some(u) = undos.pop() {
+            m.undo(u);
+            check(&m);
+        }
+        for p in [1, 1, 0] {
+            m.step(ProcId::new(p));
+            check(&m);
+        }
+        let mut reset = LocalState::new();
+        reset.set("flag", Value::from(true));
+        m.restore_local(ProcId::new(1), reset);
+        check(&m);
+        for p in [1, 0, 1] {
+            let _ = m.step_undoable(ProcId::new(p));
+            check(&m);
         }
     }
 

@@ -41,7 +41,7 @@
 //! skipped.
 
 use crate::digest::{place, rename_owners, xor_into, Digest};
-use crate::value::ValueDigests;
+use crate::value::InternedValues;
 use crate::{Machine, SystemInit, Value};
 use simsym_graph::automorphism::{automorphism_group, Automorphism};
 use simsym_graph::{CsrAdjacency, ProcId, SystemGraph, VarId};
@@ -280,7 +280,7 @@ impl Reducer for SimilarityQuotient {
         let vars = m.shared_vars();
         let digests = m.node_digests(&mut self.scratch);
         debug_assert_eq!(digests.len(), pc + vars.len());
-        let values = ValueDigests::read();
+        let values = InternedValues::read();
         let mut best = (u64::MAX, u64::MAX);
         for perm in &self.perms {
             let mut key = (0, 0);
