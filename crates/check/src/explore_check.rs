@@ -522,6 +522,29 @@ mod tests {
     }
 
     #[test]
+    fn grab_por_prunes_to_the_pinned_counts_and_keeps_the_oracle_verdicts() {
+        // grab only ever touches its first-named neighbour, so its spec
+        // narrows each processor's interference row to one variable; the
+        // pinned counts are what that narrower relation prunes to.
+        let g = Arc::new(topology::uniform_ring(3));
+        let init = SystemInit::uniform(&g);
+        let cfg = ExploreConfig::default();
+        let m = grab_machine(g, &init);
+        let footprints = crate::dataflow::machine_footprints(&m).expect("grab ships a spec");
+        let (oracle, _) = check_exploration(&m, &init, cfg, Reduction::None);
+        for (mode, states) in [(Reduction::Por, 14), (Reduction::Both, 10)] {
+            let (reduced, diags) = check_exploration_static(&m, &init, cfg, mode, &footprints);
+            assert_eq!(reduced.states_visited, states, "mode {}", mode.label());
+            assert!(!reduced.truncated);
+            assert_eq!(reduced.outcomes, oracle.outcomes, "mode {}", mode.label());
+            assert!(reduced.has_double_selection() && oracle.has_double_selection());
+            assert_eq!(reduced.violation_kinds, oracle.violation_kinds);
+            assert!(diags.iter().any(|d| d.code == codes::DYN_EXPLORE_UNIQ));
+            assert!(diverged_diagnostics(&oracle, &reduced, mode).is_empty());
+        }
+    }
+
+    #[test]
     fn cross_check_finds_no_divergence_on_the_fixtures() {
         let g = Arc::new(topology::uniform_ring(3));
         let init = SystemInit::uniform(&g);
