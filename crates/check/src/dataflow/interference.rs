@@ -4,11 +4,10 @@
 //! [`Por`](simsym_vm::Por) decides whether an outsider can interfere
 //! with an ample candidate by intersecting the outsider's *static row* —
 //! everything it could ever touch — with the candidate's current
-//! targets. The probe-based construction uses the full `n-nbr` adjacency
-//! row for that, which is sound but maximally pessimistic. A
-//! [`ProgramSpec`] lets us do better: union the resolved targets of
-//! every shared-op footprint in every phase *reachable from the entry*.
-//! That set over-approximates every runtime target (ports
+//! targets. The full `n-nbr` adjacency row is sound for that but
+//! maximally pessimistic. A [`ProgramSpec`] does better: union the
+//! resolved targets of every shared-op footprint in every phase
+//! *reachable from the entry*. That set over-approximates every runtime target (ports
 //! over-approximate name choice, reachable phases over-approximate
 //! control flow, and unreachable phases never execute), so substituting
 //! it for the adjacency row preserves `Por`'s commutation argument while
@@ -19,8 +18,7 @@ use simsym_graph::{SystemGraph, VarId};
 use simsym_vm::ProgramSpec;
 
 /// Derives per-processor may-touch footprints from `spec`'s reachable
-/// phases, suitable for
-/// [`Por::with_static_interference`](simsym_vm::Por::with_static_interference).
+/// phases, suitable for [`Por::new`](simsym_vm::Por::new).
 ///
 /// # Errors
 ///

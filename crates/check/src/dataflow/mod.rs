@@ -20,7 +20,7 @@
 //! * [`lockgraph`] — the potential lock-acquisition order and its cycles
 //!   ([`STAT-LOCK-CYCLE`](crate::diag::codes::STAT_LOCK_CYCLE));
 //! * [`interference`] — per-processor may-touch footprints feeding
-//!   [`Por::with_static_interference`](simsym_vm::Por::with_static_interference).
+//!   [`Por::new`](simsym_vm::Por::new).
 //!
 //! Every analysis is sound *relative to the spec*: the spec author
 //! vouches that it over-approximates the program's behaviour (see

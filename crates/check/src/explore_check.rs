@@ -18,56 +18,25 @@
 //! * [`codes::DYN_EXPLORE_CERTIFIED`] (info) — the reachable space was
 //!   exhausted: Uniqueness holds *up to depth d modulo `Aut(N)`*.
 //!
-//! [`cross_check_reducers`] replays the same exploration under every
-//! reduction and diffs each against the identity oracle
-//! ([`codes::DYN_EXPLORE_DIVERGED`]) — the runtime form of the soundness
-//! property the `reduction_oracle` tests establish statically.
+//! [`diverged_diagnostics`] diffs a reduced run against the identity
+//! oracle ([`codes::DYN_EXPLORE_DIVERGED`]) — the runtime form of the
+//! soundness property the `proptest_reduction` tests establish.
+//!
+//! POR's interference relation is a property of the program: every
+//! processor runs the same text, so the variables one may ever address
+//! follow from the program's [`ProgramSpec`](simsym_vm::ProgramSpec) (see
+//! [`por_footprints`]).
 
 use crate::diag::{codes, Diagnostic, Severity, Span};
 use simsym_core::similarity_reducer;
 use simsym_graph::{SystemGraph, VarId};
 use simsym_vm::{
-    explore_with, ExploreConfig, ExploreResult, Identity, Machine, Por, Reducer, SystemInit,
+    explore_with, ExploreConfig, ExploreResult, Identity, Machine, Por, PortSet, Reducer,
+    SystemInit,
 };
 
 /// The reduction modes `simsym verify --reduce` accepts, in CLI order.
 pub const REDUCTION_NAMES: &[&str] = &["none", "quotient", "por", "both"];
-
-/// The interference modes `simsym verify --interference` accepts, in CLI
-/// order. `probe` and `static` select an [`Interference`]; `both` runs
-/// the exploration once per mode and cross-checks the verdicts.
-pub const INTERFERENCE_NAMES: &[&str] = &["probe", "static", "both"];
-
-/// How the POR reductions decide which processors may interfere.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Interference {
-    /// One-step probes: the full neighbourhood row of each processor.
-    #[default]
-    Probe,
-    /// Static may-touch footprints derived from the program's
-    /// [`ProgramSpec`](simsym_vm::ProgramSpec) via
-    /// [`machine_footprints`](crate::dataflow::machine_footprints).
-    Static,
-}
-
-impl Interference {
-    /// Parses a CLI name (`both` is a CLI-level composite, not a mode).
-    pub fn parse(name: &str) -> Option<Interference> {
-        match name {
-            "probe" => Some(Interference::Probe),
-            "static" => Some(Interference::Static),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            Interference::Probe => "probe",
-            Interference::Static => "static",
-        }
-    }
-}
 
 /// Which state-space reduction an exploration composes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,69 +81,76 @@ impl Reduction {
         }
     }
 
-    /// Builds the reducer for `graph` started from `init`. The quotient
-    /// modes compute `Aut(N, state₀)` through
+    /// Builds the reducer for `graph` started from `init`, with POR over
+    /// the all-ports relation (every processor's whole `n-nbr` row). The
+    /// quotient modes compute `Aut(N, state₀)` through
     /// [`simsym_core::similarity_group`], which cross-asserts Theorem 10
     /// (orbits refine similarity) on the way.
     pub fn build(self, graph: &SystemGraph, init: &SystemInit) -> Box<dyn Reducer> {
-        match self {
-            Reduction::None => Box::new(Identity),
-            Reduction::Quotient => Box::new(similarity_reducer(graph, init)),
-            Reduction::Por => Box::new(Por::new(graph)),
-            Reduction::Both => Box::new(Por::over(graph, similarity_reducer(graph, init))),
-        }
+        self.build_with(graph, init, || all_ports(graph))
     }
 
-    /// Like [`Reduction::build`], but the POR modes use the statically
-    /// derived per-processor `footprints` instead of one-step probe rows
-    /// (see [`Por::with_static_interference`]). The non-POR modes ignore
-    /// the footprints — there is nothing for them to refine.
-    pub fn build_static(
+    /// [`Reduction::build`] with POR over `footprints`, which only the
+    /// POR modes compute.
+    fn build_with(
         self,
         graph: &SystemGraph,
         init: &SystemInit,
-        footprints: &[Vec<VarId>],
+        footprints: impl FnOnce() -> Vec<Vec<VarId>>,
     ) -> Box<dyn Reducer> {
         match self {
             Reduction::None => Box::new(Identity),
             Reduction::Quotient => Box::new(similarity_reducer(graph, init)),
-            Reduction::Por => Box::new(Por::with_static_interference(graph, footprints, Identity)),
-            Reduction::Both => Box::new(Por::with_static_interference(
+            Reduction::Por => Box::new(Por::new(graph, &footprints(), Identity)),
+            Reduction::Both => Box::new(Por::new(
                 graph,
-                footprints,
+                &footprints(),
                 similarity_reducer(graph, init),
             )),
         }
     }
 }
 
+/// Every processor's whole `n-nbr` row: the footprint of a program that
+/// may use any port.
+fn all_ports(graph: &SystemGraph) -> Vec<Vec<VarId>> {
+    graph
+        .processors()
+        .map(|p| PortSet::All.resolve(graph, p))
+        .collect()
+}
+
+/// The variables each processor of `machine` may ever address, as POR's
+/// interference relation reads them: from the program's spec
+/// ([`machine_footprints`](crate::dataflow::machine_footprints)) when it
+/// has a well-formed one, else every processor's whole row.
+pub fn por_footprints(machine: &Machine) -> Vec<Vec<VarId>> {
+    crate::dataflow::machine_footprints(machine).unwrap_or_else(|_| all_ports(machine.graph()))
+}
+
+/// Whether `footprints` leave some processor a strictly smaller
+/// interference row than its adjacency row — that is, whether POR runs on
+/// a narrower relation than the all-ports one.
+pub fn narrows_interference(graph: &SystemGraph, footprints: &[Vec<VarId>]) -> bool {
+    graph.processors().any(|p| {
+        graph
+            .processor_neighbors(p)
+            .iter()
+            .any(|v| !footprints[p.index()].contains(v))
+    })
+}
+
 /// Explores `machine` exhaustively under `reduction` and reports the
 /// outcome as diagnostics. `init` must be the initial state `machine` was
-/// built from (it colors the automorphism search).
+/// built from (it colors the automorphism search). The POR modes take
+/// their interference relation from [`por_footprints`].
 pub fn check_exploration(
     machine: &Machine,
     init: &SystemInit,
     cfg: ExploreConfig,
     reduction: Reduction,
 ) -> (ExploreResult, Vec<Diagnostic>) {
-    let mut reducer = reduction.build(machine.graph(), init);
-    let result = explore_with(machine, cfg, reducer.as_mut());
-    let diags = explore_diagnostics(&result, cfg, reduction);
-    (result, diags)
-}
-
-/// [`check_exploration`] with the POR reductions driven by static
-/// may-touch `footprints` (one per processor) instead of one-step probes.
-/// Derive the footprints with
-/// [`machine_footprints`](crate::dataflow::machine_footprints).
-pub fn check_exploration_static(
-    machine: &Machine,
-    init: &SystemInit,
-    cfg: ExploreConfig,
-    reduction: Reduction,
-    footprints: &[Vec<VarId>],
-) -> (ExploreResult, Vec<Diagnostic>) {
-    let mut reducer = reduction.build_static(machine.graph(), init, footprints);
+    let mut reducer = reduction.build_with(machine.graph(), init, || por_footprints(machine));
     let result = explore_with(machine, cfg, reducer.as_mut());
     let diags = explore_diagnostics(&result, cfg, reduction);
     (result, diags)
@@ -342,23 +318,6 @@ pub fn diverged_diagnostics(
     .with_witness(mismatches)]
 }
 
-/// Runs `machine` under every reduction mode and diffs each against the
-/// identity oracle. Returns the oracle's result plus any
-/// [`codes::DYN_EXPLORE_DIVERGED`] findings.
-pub fn cross_check_reducers(
-    machine: &Machine,
-    init: &SystemInit,
-    cfg: ExploreConfig,
-) -> (ExploreResult, Vec<Diagnostic>) {
-    let (baseline, _) = check_exploration(machine, init, cfg, Reduction::None);
-    let mut out = Vec::new();
-    for mode in [Reduction::Quotient, Reduction::Por, Reduction::Both] {
-        let (reduced, _) = check_exploration(machine, init, cfg, mode);
-        out.extend(diverged_diagnostics(&baseline, &reduced, mode));
-    }
-    (baseline, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,35 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn interference_names_cover_the_modes_plus_both() {
-        assert_eq!(Interference::parse("probe"), Some(Interference::Probe));
-        assert_eq!(Interference::parse("static"), Some(Interference::Static));
-        assert_eq!(Interference::parse("both"), None);
-        assert_eq!(Interference::parse("bogus"), None);
-        for mode in [Interference::Probe, Interference::Static] {
-            assert!(INTERFERENCE_NAMES.contains(&mode.label()));
-        }
-        assert!(INTERFERENCE_NAMES.contains(&"both"));
-        assert_eq!(Interference::default(), Interference::Probe);
-    }
-
-    #[test]
-    fn static_interference_agrees_with_the_probe_oracle_on_grab() {
-        let g = Arc::new(topology::uniform_ring(3));
-        let init = SystemInit::uniform(&g);
-        let cfg = ExploreConfig::default();
-        let m = grab_machine(g.clone(), &init);
-        let footprints = crate::dataflow::machine_footprints(&m).expect("grab ships a spec");
-        let (baseline, _) = check_exploration(&m, &init, cfg, Reduction::None);
-        for mode in [Reduction::Por, Reduction::Both] {
-            let m = grab_machine(g.clone(), &init);
-            let (reduced, _) = check_exploration_static(&m, &init, cfg, mode, &footprints);
-            let diags = diverged_diagnostics(&baseline, &reduced, mode);
-            assert!(diags.is_empty(), "mode {}: {diags:?}", mode.label());
-        }
-    }
-
-    #[test]
     fn grab_por_prunes_to_the_pinned_counts_and_keeps_the_oracle_verdicts() {
         // grab only ever touches its first-named neighbour, so its spec
         // narrows each processor's interference row to one variable; the
@@ -530,10 +460,10 @@ mod tests {
         let init = SystemInit::uniform(&g);
         let cfg = ExploreConfig::default();
         let m = grab_machine(g, &init);
-        let footprints = crate::dataflow::machine_footprints(&m).expect("grab ships a spec");
+        assert!(narrows_interference(m.graph(), &por_footprints(&m)));
         let (oracle, _) = check_exploration(&m, &init, cfg, Reduction::None);
         for (mode, states) in [(Reduction::Por, 14), (Reduction::Both, 10)] {
-            let (reduced, diags) = check_exploration_static(&m, &init, cfg, mode, &footprints);
+            let (reduced, diags) = check_exploration(&m, &init, cfg, mode);
             assert_eq!(reduced.states_visited, states, "mode {}", mode.label());
             assert!(!reduced.truncated);
             assert_eq!(reduced.outcomes, oracle.outcomes, "mode {}", mode.label());
@@ -545,12 +475,15 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_finds_no_divergence_on_the_fixtures() {
+    fn a_program_without_a_spec_keeps_the_all_ports_relation() {
         let g = Arc::new(topology::uniform_ring(3));
         let init = SystemInit::uniform(&g);
-        let m = grab_machine(g, &init);
-        let (_, diags) = cross_check_reducers(&m, &init, ExploreConfig::default());
-        assert!(diags.is_empty(), "{diags:?}");
+        let prog: Arc<dyn simsym_vm::Program> =
+            Arc::new(simsym_vm::FnProgram::new("spec-less", |_, _| {}));
+        let m = simsym_vm::Machine::new(g.clone(), simsym_vm::InstructionSet::Q, prog, &init)
+            .expect("spec-less machine");
+        assert_eq!(por_footprints(&m), all_ports(&g));
+        assert!(!narrows_interference(&g, &por_footprints(&m)));
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub use dataflow::{
 pub use diag::{CheckReport, Diagnostic, Severity, Span};
 pub use discipline::DisciplineChecker;
 pub use explore_check::{
-    check_exploration, check_exploration_static, cross_check_reducers, diverged_diagnostics,
-    explore_diagnostics, Interference, Reduction, INTERFERENCE_NAMES, REDUCTION_NAMES,
+    check_exploration, diverged_diagnostics, explore_diagnostics, narrows_interference,
+    por_footprints, Reduction, REDUCTION_NAMES,
 };
 pub use fault_tolerance::FaultToleranceChecker;
 pub use fixtures::{fixture_machine, FIXTURE_NAMES};

@@ -3,21 +3,21 @@
 //! never-initialized-`runlock` variant of Algorithm 4 is caught with zero
 //! VM steps; the static lock graph covers the dynamic witness cycle on
 //! `fixed-order` philosophers; the diagnostic-code registry matches the
-//! DESIGN.md table; and POR driven by static interference agrees with
-//! the identity oracle on the paper's families while never visiting more
-//! states.
+//! DESIGN.md table; and POR, which takes its interference relation from
+//! each program's spec, agrees with the identity oracle on the paper's
+//! families while never visiting more states than POR over whole rows.
 
 use proptest::prelude::*;
 use simsym_check::dataflow::{RegUniverse, SpecCfg};
 use simsym_check::diag::codes;
-use simsym_check::explore_check::{check_exploration, check_exploration_static, Reduction};
+use simsym_check::explore_check::{check_exploration, Reduction};
 use simsym_check::suite::run_dynamic;
 use simsym_check::{analyze_spec, fixture_machine, machine_footprints, StaticLockGraph};
 use simsym_core::{algorithm4_spec, hopcroft_similarity, selection_program_q, LabelLearner, Model};
 use simsym_graph::{topology, SystemGraph, VarId};
 use simsym_vm::{
-    ExploreConfig, FnProgram, InstructionSet, Machine, OpKind, PhaseSpec, PortSet, Program,
-    ProgramSpec, RandomFair, SystemInit,
+    explore_with, ExploreConfig, FnProgram, InstructionSet, Machine, OpKind, PhaseSpec, PortSet,
+    Program, ProgramSpec, RandomFair, SystemInit,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -265,7 +265,7 @@ proptest! {
     /// Soundness of static interference: POR driven by spec-derived
     /// footprints reproduces the identity oracle's outcome sets,
     /// Uniqueness verdict, and violation kinds on every family at n ≤ 6
-    /// — and never visits more states than the probe-driven POR run.
+    /// — and never visits more states than POR over whole rows.
     #[test]
     fn static_interference_por_matches_the_identity_oracle(
         fam in 0usize..3, size in 0usize..4, prog in 0usize..3
@@ -279,12 +279,12 @@ proptest! {
             threads: 1,
         };
         let m = build_machine(prog, g.clone(), &init);
-        let footprints = machine_footprints(&m).expect("test programs ship specs");
+        prop_assert!(machine_footprints(&m).is_ok(), "test programs ship specs");
         let (baseline, _) = check_exploration(&m, &init, cfg, Reduction::None);
         prop_assert!(!baseline.truncated);
         for mode in [Reduction::Por, Reduction::Both] {
-            let (probe, _) = check_exploration(&m, &init, cfg, mode);
-            let (reduced, _) = check_exploration_static(&m, &init, cfg, mode, &footprints);
+            let probe = explore_with(&m, cfg, mode.build(&g, &init).as_mut());
+            let (reduced, _) = check_exploration(&m, &init, cfg, mode);
             prop_assert!(!reduced.truncated, "mode {} truncated", mode.label());
             prop_assert_eq!(
                 &reduced.outcomes, &baseline.outcomes,
@@ -341,14 +341,17 @@ fn selection_programs_certify_identically_under_static_interference() {
             max_states: 200_000,
             threads: 1,
         };
-        let footprints = machine_footprints(&m).expect("selection programs ship specs");
+        assert!(
+            machine_footprints(&m).is_ok(),
+            "selection programs ship specs"
+        );
         let (baseline, _) = check_exploration(&m, &init, cfg, Reduction::None);
         assert!(
             !baseline.truncated,
             "oracle truncated on {:?}",
             m.program_name()
         );
-        let (reduced, _) = check_exploration_static(&m, &init, cfg, Reduction::Por, &footprints);
+        let (reduced, _) = check_exploration(&m, &init, cfg, Reduction::Por);
         assert!(!reduced.truncated);
         assert_eq!(reduced.outcomes, baseline.outcomes);
         assert_eq!(

@@ -550,6 +550,20 @@ mod tests {
              \"spec\": \"{\\\"kind\\\": \\\"lint\\\", \\\"system\\\": \\\"ring:3\\\"}\"}"
                 .to_owned(),
             "not json at all".to_owned(),
+            // A verify spec with the retired `interference` field, as a
+            // farm that still took it journaled it.
+            record::submit(
+                1,
+                crate::job_fingerprint(&[
+                    "verify".to_owned(),
+                    "--family".to_owned(),
+                    "ring".to_owned(),
+                    "--interference".to_owned(),
+                    "static".to_owned(),
+                    "--json".to_owned(),
+                ]),
+                "{\"kind\": \"verify\", \"family\": \"ring\", \"interference\": \"static\"}",
+            ),
         ] {
             let bytes = journal_text(&[good.clone(), bad.clone()]);
             let err = replay(&bytes).expect_err(&format!("{bad:?} must be corrupt"));

@@ -239,10 +239,6 @@ pub fn job_request(spec_json: &str) -> Result<JobRequest, String> {
             }
             push_opt_u(&mut argv, "--depth", f.uint_opt("depth")?);
             push_opt_u(&mut argv, "--states", f.uint_opt("states")?);
-            if let Some(i) = f.str_opt("interference")? {
-                argv.push("--interference".into());
-                argv.push(i);
-            }
         }
         // The panic fixture: a job whose execution panics by design, so
         // tests and the CI recovery smoke can prove a worker panic never
@@ -401,6 +397,12 @@ mod tests {
             job_argv("{\"kind\":\"lint\",\"system\":\"ring:3\",\"bogus\":1}")
                 .unwrap_err()
                 .contains("unknown field \"bogus\"")
+        );
+        // POR's interference relation comes from the program, not a field.
+        assert!(
+            job_argv("{\"kind\":\"verify\",\"family\":\"ring\",\"interference\":\"static\"}")
+                .unwrap_err()
+                .contains("unknown field \"interference\"")
         );
         assert!(job_argv("{\"kind\":\"lint\",\"system\":3}")
             .unwrap_err()

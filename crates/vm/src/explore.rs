@@ -575,6 +575,14 @@ mod tests {
     use simsym_graph::topology;
     use std::sync::Arc;
 
+    /// Every processor's whole row: the footprint of a program that may
+    /// use any port.
+    fn all_ports(g: &simsym_graph::SystemGraph) -> Vec<Vec<simsym_graph::VarId>> {
+        g.processors()
+            .map(|p| crate::PortSet::All.resolve(g, p))
+            .collect()
+    }
+
     fn figure1_machine(prog: Arc<dyn crate::Program>) -> Machine {
         let g = Arc::new(topology::figure1());
         let init = SystemInit::uniform(&g);
@@ -728,7 +736,7 @@ mod tests {
     fn por_exploration_matches_identity_outcomes() {
         let m = ring_machine(4);
         let base = explore(&m, ExploreConfig::default());
-        let mut por = Por::new(m.graph());
+        let mut por = Por::new(m.graph(), &all_ports(m.graph()), Identity);
         let reduced = explore_with(&m, ExploreConfig::default(), &mut por);
         assert_eq!(reduced.outcomes, base.outcomes);
         assert!(
@@ -743,7 +751,8 @@ mod tests {
         let m = ring_machine(4);
         let base = explore(&m, ExploreConfig::default());
         let inner = SimilarityQuotient::new(m.graph(), &SystemInit::uniform(m.graph()));
-        let mut both: Box<dyn Reducer> = Box::new(Por::over(m.graph(), inner));
+        let mut both: Box<dyn Reducer> =
+            Box::new(Por::new(m.graph(), &all_ports(m.graph()), inner));
         let reduced = explore_with(&m, ExploreConfig::default(), &mut both);
         assert_eq!(reduced.outcomes, base.outcomes);
         assert_eq!(reduced.group_order, 4);

@@ -44,7 +44,7 @@ use crate::digest::{place, rename_owners, xor_into, Digest};
 use crate::value::InternedValues;
 use crate::{Machine, SystemInit, Value};
 use simsym_graph::automorphism::{automorphism_group, Automorphism};
-use simsym_graph::{CsrAdjacency, ProcId, SystemGraph, VarId};
+use simsym_graph::{ProcId, SystemGraph, VarId};
 use std::collections::{BTreeSet, HashSet};
 use std::hash::Hash;
 
@@ -323,15 +323,16 @@ impl Reducer for SimilarityQuotient {
 /// The commutation argument exploits two machine-model facts: a step
 /// performs **at most one** shared operation whose target set is fixed by
 /// the stepping processor's local state, and a processor can only ever
-/// address variables in its static `n-nbr` row. Two steps with disjoint
-/// target sets therefore commute exactly, and a processor whose whole row
-/// is disjoint from a set of current targets can never interfere with
-/// those steps — now or later.
+/// address variables in its static footprint: its `n-nbr` row, narrowed
+/// to what its program may touch (see [`Por::new`]). Two steps with
+/// disjoint target sets therefore commute exactly, and a processor whose
+/// whole footprint is disjoint from a set of current targets can never
+/// interfere with those steps — now or later.
 #[derive(Clone, Debug)]
 pub struct Por<R = Identity> {
     inner: R,
     words: usize,
-    /// Per-processor static adjacency bitmask over variables (row-major,
+    /// Per-processor footprint bitmask over variables (row-major,
     /// `words` words per processor).
     adj: Vec<u64>,
 }
@@ -344,65 +345,42 @@ fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
-impl Por<Identity> {
-    /// Plain POR with raw-fingerprint canonicalization.
-    pub fn new(graph: &SystemGraph) -> Por<Identity> {
-        Por::over(graph, Identity)
-    }
-}
-
 impl<R: Reducer> Por<R> {
-    /// Stacks POR on top of `inner`'s canonicalization.
-    pub fn over(graph: &SystemGraph, inner: R) -> Por<R> {
-        let pc = graph.processor_count();
-        let words = graph.variable_count().div_ceil(64).max(1);
-        let csr = CsrAdjacency::new(graph);
-        let mut adj = vec![0u64; pc * words];
-        for p in graph.processors() {
-            let row = &mut adj[p.index() * words..(p.index() + 1) * words];
-            for v in csr.proc_row(p) {
-                mask_set(row, v.index());
-            }
-        }
-        Por { inner, words, adj }
-    }
-
-    /// Stacks POR on top of `inner`, with the interference relation taken
-    /// from statically derived per-processor footprints instead of the
-    /// full `n-nbr` adjacency rows.
+    /// Stacks POR on top of `inner`'s canonicalization, with the
+    /// interference relation taken from per-processor footprints.
     ///
     /// `footprints[p]` must over-approximate every shared variable
-    /// processor `p`'s program can ever address (the checker layer derives
-    /// it from the reachable phases of a
-    /// [`ProgramSpec`](crate::ProgramSpec)). The closure argument of
-    /// [`Reducer::ample`] is unchanged — a processor stays outside an
-    /// ample set only if *nothing it can ever do* touches a member's
-    /// current targets — so soundness is preserved while ample sets can
-    /// only shrink. Defensively, each footprint is clamped to the
+    /// processor `p`'s program can ever address: the checker layer derives
+    /// it from the reachable phases of a [`ProgramSpec`](crate::ProgramSpec),
+    /// and a program that may use any port gets its whole `n-nbr` row
+    /// ([`PortSet::All`](crate::PortSet::All)). The closure argument of
+    /// [`Reducer::ample`] holds for any such footprint: a processor stays
+    /// outside an ample set only if *nothing it can ever do* touches a
+    /// member's current targets. Each footprint is clamped to the
     /// processor's adjacency row: programs address variables only through
     /// names, so the clamp never drops a reachable target, and the
-    /// relation can never be *wider* than [`Por::over`]'s.
+    /// relation is never wider than the all-ports one.
     ///
     /// # Panics
     ///
     /// Panics if `footprints.len()` differs from the processor count.
-    pub fn with_static_interference(
-        graph: &SystemGraph,
-        footprints: &[Vec<VarId>],
-        inner: R,
-    ) -> Por<R> {
+    pub fn new(graph: &SystemGraph, footprints: &[Vec<VarId>], inner: R) -> Por<R> {
         let pc = graph.processor_count();
         assert_eq!(footprints.len(), pc, "one footprint per processor required");
         let words = graph.variable_count().div_ceil(64).max(1);
-        let csr = CsrAdjacency::new(graph);
         let mut adj = vec![0u64; pc * words];
+        let mut nbrs = vec![0u64; words];
         for p in graph.processors() {
+            nbrs.fill(0);
+            for v in graph.processor_neighbors(p) {
+                mask_set(&mut nbrs, v.index());
+            }
             let row = &mut adj[p.index() * words..(p.index() + 1) * words];
-            let nbrs: HashSet<VarId> = csr.proc_row(p).iter().copied().collect();
-            for &v in &footprints[p.index()] {
-                if nbrs.contains(&v) {
-                    mask_set(row, v.index());
-                }
+            for v in &footprints[p.index()] {
+                mask_set(row, v.index());
+            }
+            for (r, n) in row.iter_mut().zip(&nbrs) {
+                *r &= n;
             }
         }
         Por { inner, words, adj }
@@ -583,6 +561,15 @@ mod tests {
         Machine::new(g, InstructionSet::Q, prog, &init).unwrap()
     }
 
+    /// Plain POR over the all-ports relation: every processor's whole row.
+    fn all_ports_por(g: &SystemGraph) -> Por {
+        let rows: Vec<Vec<VarId>> = g
+            .processors()
+            .map(|p| crate::PortSet::All.resolve(g, p))
+            .collect();
+        Por::new(g, &rows, Identity)
+    }
+
     #[test]
     fn quotient_group_size_matches_ring_rotations() {
         let m = ring_machine(5);
@@ -661,7 +648,7 @@ mod tests {
         // them; p2, p3, p4 target elsewhere pairwise. The closure of p0 is
         // {p0, p1} — a genuine reduction.
         let g = topology::uniform_ring(5);
-        let por = Por::new(&g);
+        let por = all_ports_por(&g);
         let shared = g.n_nbr(ProcId::new(0), g.names().get("right").unwrap());
         assert_eq!(
             shared,
@@ -690,7 +677,7 @@ mod tests {
         // All processors target one shared variable: no proper subset is
         // persistent.
         let g = topology::star(4);
-        let por = Por::new(&g);
+        let por = all_ports_por(&g);
         let hub = VarId::new(0);
         let probes: Vec<ProbedStep> = (0..4)
             .map(|i| ProbedStep {
@@ -711,7 +698,7 @@ mod tests {
         // target touches p0's row, so seeding from p3 cascades to the full
         // enabled set and never wins.
         let g = topology::uniform_ring(4);
-        let por = Por::new(&g);
+        let por = all_ports_por(&g);
         let shared = g.n_nbr(ProcId::new(0), g.names().get("right").unwrap());
         let far = g.n_nbr(ProcId::new(3), g.names().get("right").unwrap());
         let mk = |visible: bool, on_stack: bool| -> Vec<ProbedStep> {
@@ -738,15 +725,17 @@ mod tests {
 
     #[test]
     fn static_interference_full_footprints_match_probe_rows() {
+        // The all-ports footprint is exactly each processor's adjacency
+        // row, duplicates and all.
         let g = topology::uniform_ring(4);
-        let full: Vec<Vec<VarId>> = g
-            .processors()
-            .map(|p| g.processor_neighbors(p).to_vec())
-            .collect();
-        let probe = Por::new(&g);
-        let stat = Por::with_static_interference(&g, &full, Identity);
-        assert_eq!(probe.adj, stat.adj);
-        assert_eq!(probe.words, stat.words);
+        let por = all_ports_por(&g);
+        for p in g.processors() {
+            let mut row = vec![0u64; por.words];
+            for v in g.processor_neighbors(p) {
+                mask_set(&mut row, v.index());
+            }
+            assert_eq!(por.static_row(p), &row[..]);
+        }
     }
 
     #[test]
@@ -765,7 +754,7 @@ mod tests {
             .map(|p| g.processor_neighbors(p).to_vec())
             .collect();
         fp[0] = vec![left, foreign];
-        let por = Por::with_static_interference(&g, &fp, Identity);
+        let por = Por::new(&g, &fp, Identity);
         let row = por.static_row(p0);
         assert!(masks_intersect(row, &{
             let mut m = vec![0u64; por.words];

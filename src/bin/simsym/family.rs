@@ -10,6 +10,13 @@ use simsym::graph::{topology, SystemGraph};
 use simsym::vm::{SystemInit, Value};
 use simsym_graph::ProcId;
 
+/// The most processor–variable edges a family may be built with. The
+/// graph's flat arrays grow with the edge count, and a size past this can
+/// exhaust memory before any check runs (`ring:200000000` asks for
+/// 1.6 GB); an allocation failure aborts the process, which no
+/// `catch_unwind` in the farm can stop.
+const MAX_EDGES: usize = 1 << 22;
+
 /// What a family's size parameter must satisfy.
 #[derive(Clone, Copy)]
 enum Rule {
@@ -45,6 +52,9 @@ pub struct Family {
     /// Builds the topology from a parameter that passed `rule`; only
     /// `board` reads the second argument.
     build: fn(usize, usize) -> SystemGraph,
+    /// The processor–variable edge count `build` would produce, or `None`
+    /// if it overflows; same arguments as `build`.
+    edges: fn(usize, usize) -> Option<usize>,
     /// `Some` for the families `verify`, `faults` and `soak` take.
     procs: Option<Procs>,
 }
@@ -54,38 +64,42 @@ pub struct Family {
 #[rustfmt::skip]
 const FAMILIES: &[Family] = &[
     Family { name: "figure1", param: "", rule: Rule::Fixed,
-        build: |_, _| topology::figure1(), procs: None,
+        build: |_, _| topology::figure1(), edges: |_, _| Some(2), procs: None,
         about: "two processors sharing one variable by the same name (Fig. 1)" },
     Family { name: "figure2", param: "", rule: Rule::Fixed,
-        build: |_, _| topology::figure2(), procs: None,
+        build: |_, _| topology::figure2(), edges: |_, _| Some(6), procs: None,
         about: "the 'complicated alibis' system (Fig. 2)" },
     Family { name: "figure3", param: "", rule: Rule::Fixed,
-        build: |_, _| topology::figure3(), procs: None,
+        build: |_, _| topology::figure3(), edges: |_, _| Some(3), procs: None,
         about: "the fair-S mimicry system (Fig. 3; mark p2 to get the paper's z)" },
     Family { name: "ring", param: "N", rule: Rule::AtLeast(2),
-        build: |n, _| topology::uniform_ring(n), procs: Some(Procs { verify: 4, faults: 5 }),
+        build: |n, _| topology::uniform_ring(n), edges: |n, _| n.checked_mul(2),
+        procs: Some(Procs { verify: 4, faults: 5 }),
         about: "uniform ring of N processors with left/right forks (Fig. 4 for N=5)" },
     Family { name: "marked-ring", param: "N", rule: Rule::AtLeast(3),
-        build: |n, _| topology::marked_ring(n), procs: None,
+        build: |n, _| topology::marked_ring(n), edges: |n, _| n.checked_mul(3), procs: None,
         about: "ring with a structurally marked processor" },
     Family { name: "line", param: "N", rule: Rule::AtLeast(2),
-        build: |n, _| topology::line(n), procs: None,
+        build: |n, _| topology::line(n), edges: |n, _| n.checked_mul(2), procs: None,
         about: "open line of N processors" },
     Family { name: "star", param: "N", rule: Rule::AtLeast(1),
-        build: |n, _| topology::star(n), procs: None,
+        build: |n, _| topology::star(n), edges: |n, _| Some(n), procs: None,
         about: "N processors sharing one hub variable" },
     Family { name: "table", param: "N", rule: Rule::AtLeast(2),
-        build: |n, _| topology::philosophers_table(n), procs: Some(Procs { verify: 4, faults: 6 }),
+        build: |n, _| topology::philosophers_table(n), edges: |n, _| n.checked_mul(2),
+        procs: Some(Procs { verify: 4, faults: 6 }),
         about: "alias of ring:N (the dining table)" },
     Family { name: "alternating", param: "N", rule: Rule::Even(2),
-        build: |n, _| topology::philosophers_alternating(n),
+        build: |n, _| topology::philosophers_alternating(n), edges: |n, _| n.checked_mul(2),
         procs: Some(Procs { verify: 4, faults: 6 }),
         about: "even-N table with alternating orientation (Fig. 5 for N=6)" },
     Family { name: "hypercube", param: "D", rule: Rule::Dimension,
-        build: |d, _| topology::hypercube(d), procs: Some(Procs { verify: 8, faults: 8 }),
+        build: |d, _| topology::hypercube(d),
+        edges: |d, _| 1usize.checked_shl(d as u32)?.checked_mul(d),
+        procs: Some(Procs { verify: 8, faults: 8 }),
         about: "D-dimensional hypercube: 2^D processors, one variable per edge" },
     Family { name: "board", param: "PxV", rule: Rule::Board,
-        build: topology::shared_board, procs: None,
+        build: topology::shared_board, edges: usize::checked_mul, procs: None,
         about: "P processors sharing V variables under common names" },
 ];
 
@@ -113,11 +127,24 @@ impl Family {
         }
     }
 
+    /// Builds the family at `(a, b)` unless its graph would have more than
+    /// [`MAX_EDGES`] processor–variable edges; `size` names the request
+    /// in the refusal.
+    fn build_bounded(&self, a: usize, b: usize, size: &str) -> Result<SystemGraph, String> {
+        match (self.edges)(a, b) {
+            Some(edges) if edges <= MAX_EDGES => Ok((self.build)(a, b)),
+            _ => Err(format!(
+                "{} {size} is too large: more than 2^22 processor-variable edges",
+                self.name
+            )),
+        }
+    }
+
     /// Builds the family from the parameter of a spec (`5` in `ring:5`).
     fn build_spec(&self, param: Option<&str>) -> Result<SystemGraph, String> {
         let name = self.name;
         match self.rule {
-            Rule::Fixed => Ok((self.build)(0, 0)),
+            Rule::Fixed => self.build_bounded(0, 0, ""),
             Rule::Board => {
                 let usage = || format!("{name} needs PxV, e.g. {name}:3x2");
                 let (a, b) = param.and_then(|p| p.split_once('x')).ok_or_else(usage)?;
@@ -126,13 +153,13 @@ impl Family {
                 if procs == 0 || vars == 0 {
                     return Err("board sizes must be positive".to_owned());
                 }
-                Ok((self.build)(procs, vars))
+                self.build_bounded(procs, vars, &format!("{procs}x{vars}"))
             }
             _ => {
                 let p = param.ok_or_else(|| format!("{name} needs a size, e.g. {name}:5"))?;
                 let n = p.parse().map_err(|_| format!("bad size {p:?}"))?;
                 self.check(n)?;
-                Ok((self.build)(n, 0))
+                self.build_bounded(n, 0, &format!("size {n}"))
             }
         }
     }
@@ -153,7 +180,7 @@ impl Family {
             _ => procs,
         };
         self.check(n)?;
-        Ok((self.build)(n, 0))
+        self.build_bounded(n, 0, &format!("--procs {procs}"))
     }
 }
 
@@ -265,4 +292,30 @@ fn parse_marks(list: &str, procs: usize) -> Result<Vec<ProcId>, String> {
             Ok(ProcId::new(idx))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn edge_closed_forms_match_the_built_graphs() {
+        for f in FAMILIES {
+            let sizes = match f.rule {
+                Rule::Fixed => vec![(0, 0)],
+                Rule::Board => vec![(1, 1), (3, 2), (5, 7)],
+                Rule::Dimension => vec![(1, 0), (3, 0), (6, 0)],
+                Rule::Even(_) => vec![(2, 0), (8, 0)],
+                Rule::AtLeast(min) => vec![(min, 0), (min + 5, 0)],
+            };
+            for (a, b) in sizes {
+                let g = (f.build)(a, b);
+                let built = g.processor_count() * g.name_count();
+                assert_eq!((f.edges)(a, b), Some(built), "{} at ({a}, {b})", f.name);
+            }
+        }
+        // The bound is inclusive: ring:2^21 has exactly 2^22 edges.
+        let ring = FAMILIES.iter().find(|f| f.name == "ring").unwrap();
+        assert_eq!((ring.edges)(1 << 21, 0), Some(MAX_EDGES));
+    }
 }

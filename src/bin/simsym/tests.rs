@@ -845,6 +845,19 @@ fn verify_rejects_bad_flags() {
     assert!(call(&["verify", "--family", "alternating", "--procs", "5"])
         .unwrap_err()
         .contains("even"));
+    // POR reads its interference relation from the program; there is no
+    // flag to choose it.
+    assert!(call(&[
+        "verify",
+        "--family",
+        "ring",
+        "--reduce",
+        "por",
+        "--interference",
+        "static"
+    ])
+    .unwrap_err()
+    .contains("unknown verify flag \"--interference\""));
 }
 
 // ---- the simulation farm ------------------------------------------
@@ -1355,7 +1368,7 @@ fn cli_stdout_golden_net() {
             0x3133c8260ee9d0e3,
         ),
     ];
-    const USAGE: u64 = 0x0c5c3104b1f95083;
+    const USAGE: u64 = 0xca7f863e9975ecf3;
     const REPRO_RING: u64 = 0xe6a4f7b811df7121;
     const REPLAY_RING: u64 = 0x47de50a05f998e32;
     let mut drift = Vec::new();
@@ -1417,6 +1430,23 @@ fn verify_rejects_sizes_below_the_topology_minimum() {
 }
 
 #[test]
+fn sizes_past_the_edge_bound_are_refused_before_building() {
+    // Each of these would allocate gigabytes (or overflow) if built.
+    for args in [
+        &["lint", "ring:200000000", "--static"][..],
+        &["analyze", "hypercube:18"],
+        &["analyze", "board:2049x2048"],
+        &["analyze", "star:18446744073709551615"],
+        &["verify", "--family", "ring", "--procs", "2097153"],
+        &["soak", "--family", "table", "--procs", "200000000"],
+        &["verify", "--family", "hypercube", "--procs", "67108864"],
+    ] {
+        let err = call(args).unwrap_err();
+        assert!(err.contains("more than 2^22"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn every_subcommand_rejects_a_flag_given_twice() {
     for args in [
         &["analyze", "ring:4", "--mark", "p0", "--mark", "p1"][..],
@@ -1447,20 +1477,24 @@ fn an_undersized_verify_job_fails_without_panicking_a_worker() {
     .expect("bind farm");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
-    let job = farm::submit_job(
-        &addr,
-        "{\"kind\":\"verify\",\"family\":\"ring\",\"procs\":1}",
-    )
-    .expect("submit");
-    let result = farm::fetch_result(&addr, job.job).expect("result");
-    assert!(result.failed);
-    assert!(
-        result.document.contains("ring needs size >= 2"),
-        "{}",
-        result.document
-    );
+    for (spec, want) in [
+        (
+            "{\"kind\":\"verify\",\"family\":\"ring\",\"procs\":1}",
+            "ring needs size >= 2",
+        ),
+        // Building this graph would abort the farm on allocation.
+        (
+            "{\"kind\":\"lint\",\"system\":\"ring:200000000\",\"static\":true}",
+            "more than 2^22",
+        ),
+    ] {
+        let job = farm::submit_job(&addr, spec).expect("submit");
+        let result = farm::fetch_result(&addr, job.job).expect("result");
+        assert!(result.failed);
+        assert!(result.document.contains(want), "{}", result.document);
+    }
     farm::shutdown(&addr).expect("shutdown");
     let summary = handle.join().expect("farm thread").expect("farm run");
     assert_eq!((summary.panicked, summary.retried), (0, 0));
-    assert_eq!(summary.completed, 1);
+    assert_eq!(summary.completed, 2);
 }

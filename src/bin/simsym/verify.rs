@@ -5,14 +5,13 @@ use crate::flags::{self, Kind};
 use crate::lint::fixture;
 use crate::{json_rows, CmdOut};
 use simsym::check::explore_check::{
-    check_exploration, check_exploration_static, diverged_diagnostics, Interference, Reduction,
+    check_exploration, diverged_diagnostics, narrows_interference, por_footprints, Reduction,
 };
-use simsym::check::{self, CheckReport, Diagnostic};
+use simsym::check::{self, CheckReport};
 use simsym::core::{hopcroft_similarity, selection_program_q, LabelLearner, Model};
 use simsym::graph::SystemGraph;
 use simsym::vm::engine::sweep::run_jobs;
 use simsym::vm::{ExploreConfig, ExploreResult, InstructionSet, Machine, Program, SystemInit};
-use simsym_graph::VarId;
 use std::sync::Arc;
 
 /// Options for `verify`.
@@ -21,7 +20,6 @@ struct VerifyOpts {
     procs: Option<usize>,
     program: Option<String>,
     reduce: Reduction,
-    interference: String,
     depth: usize,
     states: usize,
     json: bool,
@@ -36,10 +34,6 @@ impl VerifyOpts {
                 flags::PROCS,
                 flags::PROGRAM,
                 ("--reduce", Kind::Enum("reduction", check::REDUCTION_NAMES)),
-                (
-                    "--interference",
-                    Kind::Enum("interference", check::INTERFERENCE_NAMES),
-                ),
                 ("--depth", Kind::Usize("depth")),
                 ("--states", Kind::Usize("state budget")),
                 flags::JSON,
@@ -53,22 +47,12 @@ impl VerifyOpts {
             reduce: flags.text("--reduce").map_or(Reduction::Both, |v| {
                 Reduction::parse(&v).expect("--reduce is checked against REDUCTION_NAMES")
             }),
-            interference: flags
-                .text("--interference")
-                .unwrap_or_else(|| "probe".to_owned()),
             depth: flags.usize("--depth").unwrap_or(12),
             states: flags.usize("--states").unwrap_or(200_000),
             json: flags.on("--json"),
         };
         if opts.depth == 0 || opts.states == 0 {
             return Err("--depth and --states need to be positive".into());
-        }
-        if opts.interference != "probe" && !matches!(opts.reduce, Reduction::Por | Reduction::Both)
-        {
-            return Err(format!(
-                "--interference {} only affects the POR reductions; use --reduce por or both",
-                opts.interference
-            ));
         }
         Ok(opts)
     }
@@ -88,25 +72,12 @@ fn selection_machine(graph: &Arc<SystemGraph>, init: &SystemInit) -> Result<Mach
     Machine::new(Arc::clone(graph), InstructionSet::Q, program, init).map_err(|e| e.to_string())
 }
 
-/// One exploration of `machine` under `mode`, its POR pruning driven by
-/// one-step probes or, given them, by the program's static footprints.
-fn explore(
-    machine: &Machine,
-    init: &SystemInit,
-    cfg: ExploreConfig,
-    mode: Reduction,
-    footprints: Option<&[Vec<VarId>]>,
-) -> (ExploreResult, Vec<Diagnostic>) {
-    match footprints {
-        Some(footprints) => check_exploration_static(machine, init, cfg, mode, footprints),
-        None => check_exploration(machine, init, cfg, mode),
-    }
-}
-
 /// One verify run: the mode it explored under and what it found.
 struct VerifyRow {
     reduce: Reduction,
-    interference: Interference,
+    /// `static` when POR ran on a relation the program's spec narrowed,
+    /// else `probe` (the all-ports relation, or no POR at all).
+    interference: &'static str,
     result: ExploreResult,
 }
 
@@ -137,53 +108,39 @@ pub fn verify(args: &[String]) -> Result<CmdOut, String> {
     };
     // The requested mode plus the identity baseline, fanned across the
     // generic job runner (order-preserving, so row 0 is the request and
-    // the identity oracle is always last). --interference both inserts a
-    // probe-driven twin of the request between the two.
-    let primary = match opts.interference.as_str() {
-        "static" | "both" => Interference::Static,
-        _ => Interference::Probe,
-    };
-    let mut modes: Vec<(Reduction, Interference)> = vec![(opts.reduce, primary)];
-    if opts.interference == "both" {
-        modes.push((opts.reduce, Interference::Probe));
-    }
+    // the identity oracle is always last).
+    let mut modes = vec![opts.reduce];
     if opts.reduce != Reduction::None {
-        modes.push((Reduction::None, Interference::Probe));
+        modes.push(Reduction::None);
     }
-    let footprints = if primary == Interference::Static {
-        Some(check::machine_footprints(&machine)?)
-    } else {
-        None
-    };
-    let mut runs = run_jobs(modes.len(), &modes, |&(mode, interference)| {
-        let footprints = match interference {
-            Interference::Static => footprints.as_deref(),
-            Interference::Probe => None,
-        };
-        explore(&machine, &init, cfg, mode, footprints)
+    let mut runs = run_jobs(modes.len(), &modes, |&mode| {
+        check_exploration(&machine, &init, cfg, mode)
     });
+    let narrowed = matches!(opts.reduce, Reduction::Por | Reduction::Both)
+        && narrows_interference(&graph, &por_footprints(&machine));
 
     let mut rows = Vec::new();
     let mut diags = Vec::new();
-    for (i, ((result, run_diags), (mode, interference))) in runs.drain(..).zip(modes).enumerate() {
+    for (i, ((result, run_diags), mode)) in runs.drain(..).zip(modes).enumerate() {
         if i == 0 {
             diags.extend(run_diags);
         }
         rows.push(VerifyRow {
             reduce: mode,
-            interference,
+            interference: if i == 0 && narrowed {
+                "static"
+            } else {
+                "probe"
+            },
             result,
         });
     }
-    if rows.len() > 1 {
-        let baseline = rows.last().expect("identity baseline");
-        for row in &rows[..rows.len() - 1] {
-            diags.extend(diverged_diagnostics(
-                &baseline.result,
-                &row.result,
-                row.reduce,
-            ));
-        }
+    if let [row, baseline] = &rows[..] {
+        diags.extend(diverged_diagnostics(
+            &baseline.result,
+            &row.result,
+            row.reduce,
+        ));
     }
     let factor_x100 = rows.last().expect("at least one run").result.states_visited * 100
         / rows[0].result.states_visited.max(1);
@@ -213,13 +170,13 @@ fn verify_render_json(
 ) -> String {
     let mut out = format!(
         "{{\n  \"schema\": \"simsym-verify/v1\",\n  \"system\": \"{system}\",\n  \"program\": \"{program}\",\n  \"interference\": \"{}\",\n  \"depth\": {},\n  \"max_states\": {},\n  \"runs\": [\n",
-        opts.interference, opts.depth, opts.states
+        rows[0].interference, opts.depth, opts.states
     );
     out.push_str(&json_rows(rows.iter().map(|r| {
         format!(
             "    {{\"reduce\": \"{}\", \"interference\": \"{}\", \"states_canonical\": {}, \"states_seen\": {}, \"outcomes\": {}, \"group_order\": {}, \"group_capped\": {}, \"peak_visited_bytes\": {}, \"truncated\": {}, \"double_selection\": {}}}",
             r.reduce.label(),
-            r.interference.label(),
+            r.interference,
             r.result.states_visited,
             r.result.states_seen,
             r.result.outcomes.len(),
@@ -254,7 +211,7 @@ fn verify_render_text(
         out.push_str(&format!(
             "  reduce={:<9} intf={:<7} {:>8} canonical states ({:>9} arrivals)  |Aut| {}{}  peak {} B  outcomes {}{}{}\n",
             r.reduce.label(),
-            r.interference.label(),
+            r.interference,
             r.result.states_visited,
             r.result.states_seen,
             r.result.group_order,
