@@ -1827,4 +1827,366 @@ mod tests {
         writer.join().expect("writer");
         assert!(response.contains("Retry-After: 1"), "{response}");
     }
+
+    /// The runner behind the terminal-path pins: `fail:1` is a usage
+    /// error, `slow:1` outlives a 1 ms deadline before its nested sweep
+    /// reaches a boundary, `block:1` waits twice on `gate` (started, then
+    /// released) so a test can cancel it mid-run, the `panic` kind
+    /// panics, and everything else echoes.
+    struct PinRunner {
+        gate: std::sync::Barrier,
+    }
+    impl JobRunner for PinRunner {
+        fn run(&self, argv: &[String]) -> Result<JobOutput, String> {
+            match argv.get(1).map(String::as_str) {
+                Some("fail:1") => Err("unknown family \"fail\"".to_owned()),
+                Some("slow:1") => {
+                    std::thread::sleep(Duration::from_millis(20));
+                    sweep::run_jobs(1, &[0u8; 3], |_| ());
+                    EchoRunner.run(argv)
+                }
+                Some("block:1") => {
+                    self.gate.wait();
+                    self.gate.wait();
+                    EchoRunner.run(argv)
+                }
+                _ => PanicRunner.run(argv),
+            }
+        }
+    }
+
+    /// Replaces the run of digits after each `marker` with `N`.
+    fn mask_count(text: &str, marker: &str) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(i) = rest.find(marker) {
+            let (head, tail) = rest.split_at(i + marker.len());
+            out.push_str(head);
+            out.push('N');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Every job's state and event lines and, for a finished job, its
+    /// result (failed flag, cache disposition, document bytes). The
+    /// partial-progress counts of a stopped run are masked: they depend
+    /// on timing.
+    fn farm_transcript(farm: &Farm) -> String {
+        let ids: Vec<u64> = farm.lock().jobs.keys().copied().collect();
+        let mut out = String::new();
+        for id in ids {
+            let (state, events) = {
+                let st = farm.lock();
+                let job = &st.jobs[&id];
+                // Matched without binding, so the pin does not depend on
+                // what a finished state carries.
+                let state = match job.state {
+                    JobState::Queued => "queued",
+                    JobState::Running => "running",
+                    JobState::Cancelled => "cancelled",
+                    _ => "done",
+                };
+                (state, job.events.clone())
+            };
+            out.push_str(&format!("job {id} {state}\n"));
+            for line in events {
+                out.push_str(&format!("  {line}\n"));
+            }
+            if state == "done" {
+                let (artifact, hit) = farm.wait_result(id).expect("job").expect("done");
+                out.push_str(&format!(
+                    "  result failed={} hit={hit} {:?}\n",
+                    u8::from(artifact.failed),
+                    artifact.document
+                ));
+            }
+        }
+        mask_count(&mask_count(&out, "\"jobs_completed\": "), "boundary after ")
+    }
+
+    fn journal_text(dir: &std::path::Path) -> String {
+        std::fs::read_to_string(dir.join(journal::JOURNAL_FILE)).expect("journal")
+    }
+
+    /// Drives a journaled farm through every live terminal path, one
+    /// job each, on the calling thread: a miss that succeeds, a miss
+    /// whose runner errs, a cache hit, a deadline, a panic retried and
+    /// then final, a cancel while queued, a cancel while running; job 7
+    /// is left queued. Returns the transcript of every response.
+    fn drive_every_live_path(farm: &Farm, runner: &PinRunner) -> String {
+        let mut responses = Vec::new();
+        let mut submit = |spec: &str| responses.push(farm.submit(spec));
+        submit("{\"kind\": \"lint\", \"system\": \"ring:3\"}");
+        farm.execute_job(runner, 0);
+        submit("{\"kind\": \"lint\", \"system\": \"fail:1\"}");
+        farm.execute_job(runner, 1);
+        submit("{\"kind\": \"lint\", \"system\": \"ring:3\"}");
+        submit("{\"kind\": \"lint\", \"system\": \"slow:1\", \"deadline_ms\": 1}");
+        farm.execute_job(runner, 3);
+        submit("{\"kind\": \"panic\", \"seed\": 1}");
+        farm.execute_job(runner, 4);
+        farm.execute_job(runner, 4);
+        submit("{\"kind\": \"lint\", \"system\": \"ring:4\"}");
+        submit("{\"kind\": \"lint\", \"system\": \"block:1\"}");
+        submit("{\"kind\": \"lint\", \"system\": \"ring:5\"}");
+        responses.push(farm.cancel(5));
+        responses.push(farm.cancel(5));
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| farm.execute_job(runner, 6));
+            runner.gate.wait();
+            responses.push(farm.cancel(6));
+            runner.gate.wait();
+            worker.join().expect("worker");
+        });
+        responses.push(farm.cancel(6));
+        responses
+            .iter()
+            .map(|(status, body)| format!("{status} {body}"))
+            .collect()
+    }
+
+    fn pin_runner() -> PinRunner {
+        PinRunner {
+            gate: std::sync::Barrier::new(2),
+        }
+    }
+
+    fn journaled_config(dir: &std::path::Path) -> ServeConfig {
+        let mut config = test_config(1, 8);
+        config.state_dir = Some(dir.to_string_lossy().into_owned());
+        config
+    }
+
+    const LIVE_RESPONSES: &str = r##"200 {"schema": "simsym-serve/v1", "job": 0, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 1, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 2, "cache": "hit"}
+200 {"schema": "simsym-serve/v1", "job": 3, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 4, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 5, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 6, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 7, "cache": "miss"}
+200 {"schema": "simsym-serve/v1", "job": 5, "cancelled": 1}
+409 {"schema": "simsym-serve/v1", "job": 5, "cancelled": 0, "state": "cancelled"}
+200 {"schema": "simsym-serve/v1", "job": 6, "cancelled": 1, "state": "running"}
+409 {"schema": "simsym-serve/v1", "job": 6, "cancelled": 0, "state": "cancelled"}
+"##;
+    const LIVE_TRANSCRIPT: &str = r##"job 0 done
+  {"schema": "simsym-serve/v1", "job": 0, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 0, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 0, "event": "finished", "cache": "miss", "failed": 0}
+  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+job 1 done
+  {"schema": "simsym-serve/v1", "job": 1, "event": "queued", "kind": "lint", "fingerprint": "d6aff3b3ac34bc66", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 1, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 1, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"error\": \"unknown family \\\"fail\\\"\"}\n"
+job 2 done
+  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "hit"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "hit", "failed": 0}
+  result failed=0 hit=true "{\"argv\": \"lint ring:3 --json\"}\n"
+job 3 done
+  {"schema": "simsym-serve/v1", "job": 3, "event": "queued", "kind": "lint", "fingerprint": "13a6ed00e1edc587", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "deadline", "code": "SERVE-JOB-DEADLINE", "jobs_completed": N}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"code\": \"SERVE-JOB-DEADLINE\", \"error\": \"deadline of 1ms exceeded; stopped at a sweep-job boundary after N jobs\"}\n"
+job 4 done
+  {"schema": "simsym-serve/v1", "job": 4, "event": "queued", "kind": "panic", "fingerprint": "93e1bebab164e084", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "retrying", "code": "SERVE-JOB-PANIC", "panic": "panic fixture: deliberate failure"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "panicked", "code": "SERVE-JOB-PANIC"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"code\": \"SERVE-JOB-PANIC\", \"error\": \"job panicked on its run and its retry: panic fixture: deliberate failure\"}\n"
+job 5 cancelled
+  {"schema": "simsym-serve/v1", "job": 5, "event": "queued", "kind": "lint", "fingerprint": "a5c43c93fb8e2157", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 5, "event": "cancelled"}
+job 6 cancelled
+  {"schema": "simsym-serve/v1", "job": 6, "event": "queued", "kind": "lint", "fingerprint": "2ca2e31c63402155", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "cancel-requested"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "cancelled", "jobs_completed": N}
+job 7 queued
+  {"schema": "simsym-serve/v1", "job": 7, "event": "queued", "kind": "lint", "fingerprint": "23dcf6a167381b5c", "cache": "miss"}
+"##;
+    const LIVE_JOURNAL: &str = r##"{"schema": "simsym-serve-journal/v1"}
+{"event": "submit", "job": 0, "fingerprint": "b16e2eac73947b1a", "spec": "{\"kind\": \"lint\", \"system\": \"ring:3\"}"}
+{"event": "start", "job": 0}
+{"event": "finish", "job": 0, "disposition": "ok", "failed": 0}
+{"event": "submit", "job": 1, "fingerprint": "d6aff3b3ac34bc66", "spec": "{\"kind\": \"lint\", \"system\": \"fail:1\"}"}
+{"event": "start", "job": 1}
+{"event": "finish", "job": 1, "disposition": "ok", "failed": 1}
+{"event": "submit", "job": 2, "fingerprint": "b16e2eac73947b1a", "spec": "{\"kind\": \"lint\", \"system\": \"ring:3\"}"}
+{"event": "finish", "job": 2, "disposition": "ok", "failed": 0}
+{"event": "submit", "job": 3, "fingerprint": "13a6ed00e1edc587", "spec": "{\"kind\": \"lint\", \"system\": \"slow:1\", \"deadline_ms\": 1}"}
+{"event": "start", "job": 3}
+{"event": "finish", "job": 3, "disposition": "deadline", "failed": 1}
+{"event": "submit", "job": 4, "fingerprint": "93e1bebab164e084", "spec": "{\"kind\": \"panic\", \"seed\": 1}"}
+{"event": "start", "job": 4}
+{"event": "start", "job": 4}
+{"event": "finish", "job": 4, "disposition": "panic", "failed": 1}
+{"event": "submit", "job": 5, "fingerprint": "a5c43c93fb8e2157", "spec": "{\"kind\": \"lint\", \"system\": \"ring:4\"}"}
+{"event": "submit", "job": 6, "fingerprint": "2ca2e31c63402155", "spec": "{\"kind\": \"lint\", \"system\": \"block:1\"}"}
+{"event": "submit", "job": 7, "fingerprint": "23dcf6a167381b5c", "spec": "{\"kind\": \"lint\", \"system\": \"ring:5\"}"}
+{"event": "cancel", "job": 5}
+{"event": "start", "job": 6}
+{"event": "cancel", "job": 6}
+"##;
+
+    #[test]
+    fn every_live_terminal_path_keeps_its_bytes() {
+        let dir = state_dir("pin-live");
+        let server = Server::bind(journaled_config(&dir), Arc::new(EchoRunner)).expect("bind");
+        let runner = pin_runner();
+        let responses = drive_every_live_path(&server.farm, &runner);
+        let transcript = farm_transcript(&server.farm);
+        let journal = journal_text(&dir);
+        assert_eq!(responses, LIVE_RESPONSES);
+        assert_eq!(transcript, LIVE_TRANSCRIPT);
+        assert_eq!(journal, LIVE_JOURNAL);
+        assert_eq!(
+            server.farm.lock().summary,
+            ServeSummary {
+                completed: 2,
+                cache_hits: 1,
+                rejected: 0,
+                retried: 1,
+                panicked: 1,
+                deadlines: 1,
+                cancelled: 2,
+                recovered: 0,
+            }
+        );
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const RECOVERED_TRANSCRIPT: &str = r##"job 0 done
+  {"schema": "simsym-serve/v1", "job": 0, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 0, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 0, "event": "finished", "cache": "miss", "failed": 0}
+  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+job 1 queued
+  {"schema": "simsym-serve/v1", "job": 1, "event": "queued", "kind": "lint", "fingerprint": "d6aff3b3ac34bc66", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 1, "event": "recovered"}
+job 2 done
+  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "miss", "failed": 0}
+  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+job 3 done
+  {"schema": "simsym-serve/v1", "job": 3, "event": "queued", "kind": "lint", "fingerprint": "13a6ed00e1edc587", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"code\": \"SERVE-JOB-DEADLINE\", \"error\": \"recovered from the journal: the job exceeded its deadline before the restart\"}\n"
+job 4 done
+  {"schema": "simsym-serve/v1", "job": 4, "event": "queued", "kind": "panic", "fingerprint": "93e1bebab164e084", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"code\": \"SERVE-JOB-PANIC\", \"error\": \"recovered from the journal: the job panicked before the restart\"}\n"
+job 5 cancelled
+  {"schema": "simsym-serve/v1", "job": 5, "event": "queued", "kind": "lint", "fingerprint": "a5c43c93fb8e2157", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 5, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 5, "event": "cancelled"}
+job 6 cancelled
+  {"schema": "simsym-serve/v1", "job": 6, "event": "queued", "kind": "lint", "fingerprint": "2ca2e31c63402155", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "cancelled"}
+job 7 queued
+  {"schema": "simsym-serve/v1", "job": 7, "event": "queued", "kind": "lint", "fingerprint": "23dcf6a167381b5c", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 7, "event": "recovered"}
+"##;
+    const RERUN_TRANSCRIPT: &str = r##"job 0 done
+  {"schema": "simsym-serve/v1", "job": 0, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 0, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 0, "event": "finished", "cache": "miss", "failed": 0}
+  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+job 1 done
+  {"schema": "simsym-serve/v1", "job": 1, "event": "queued", "kind": "lint", "fingerprint": "d6aff3b3ac34bc66", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 1, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 1, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 1, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"error\": \"unknown family \\\"fail\\\"\"}\n"
+job 2 done
+  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "miss", "failed": 0}
+  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+job 3 done
+  {"schema": "simsym-serve/v1", "job": 3, "event": "queued", "kind": "lint", "fingerprint": "13a6ed00e1edc587", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 3, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"code\": \"SERVE-JOB-DEADLINE\", \"error\": \"recovered from the journal: the job exceeded its deadline before the restart\"}\n"
+job 4 done
+  {"schema": "simsym-serve/v1", "job": 4, "event": "queued", "kind": "panic", "fingerprint": "93e1bebab164e084", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 4, "event": "finished", "cache": "miss", "failed": 1}
+  result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"code\": \"SERVE-JOB-PANIC\", \"error\": \"recovered from the journal: the job panicked before the restart\"}\n"
+job 5 cancelled
+  {"schema": "simsym-serve/v1", "job": 5, "event": "queued", "kind": "lint", "fingerprint": "a5c43c93fb8e2157", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 5, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 5, "event": "cancelled"}
+job 6 cancelled
+  {"schema": "simsym-serve/v1", "job": 6, "event": "queued", "kind": "lint", "fingerprint": "2ca2e31c63402155", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 6, "event": "cancelled"}
+job 7 done
+  {"schema": "simsym-serve/v1", "job": 7, "event": "queued", "kind": "lint", "fingerprint": "23dcf6a167381b5c", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 7, "event": "recovered"}
+  {"schema": "simsym-serve/v1", "job": 7, "event": "started"}
+  {"schema": "simsym-serve/v1", "job": 7, "event": "finished", "cache": "miss", "failed": 0}
+  result failed=0 hit=false "{\"argv\": \"lint ring:5 --json\"}\n"
+"##;
+    const RERUN_JOURNAL_TAIL: &str = r##"{"event": "start", "job": 7}
+{"event": "finish", "job": 7, "disposition": "ok", "failed": 0}
+"##;
+
+    #[test]
+    fn every_recovered_terminal_path_keeps_its_bytes() {
+        let dir = state_dir("pin-recovered");
+        let runner = pin_runner();
+        {
+            let server =
+                Server::bind(journaled_config(&dir), Arc::new(EchoRunner)).expect("life 1 bind");
+            drive_every_live_path(&server.farm, &runner);
+        }
+        let before = journal_text(&dir);
+        // Job 1's `finish ok` loses its artifact: it is demoted and re-run.
+        let failed_argv = spec::job_argv("{\"kind\": \"lint\", \"system\": \"fail:1\"}").unwrap();
+        std::fs::remove_file(journal::artifact_path(&dir, job_fingerprint(&failed_argv)))
+            .expect("artifact existed");
+
+        let server =
+            Server::bind(journaled_config(&dir), Arc::new(EchoRunner)).expect("life 2 bind");
+        assert_eq!(server.recovery(), (2, 2));
+        let transcript = farm_transcript(&server.farm);
+        assert_eq!(transcript, RECOVERED_TRANSCRIPT);
+        assert_eq!(journal_text(&dir), before, "recovery journals nothing");
+        {
+            let st = server.farm.lock();
+            assert_eq!(st.queue, [1, 7]);
+            assert_eq!(
+                st.summary,
+                ServeSummary {
+                    recovered: 2,
+                    ..ServeSummary::default()
+                }
+            );
+        }
+
+        // The demoted re-run journals nothing; the unfinished job's does.
+        server.farm.execute_job(&runner, 1);
+        assert_eq!(journal_text(&dir), before);
+        server.farm.execute_job(&runner, 7);
+        let transcript = farm_transcript(&server.farm);
+        let after = journal_text(&dir);
+        let tail = after.strip_prefix(&before).expect("append-only journal");
+        assert_eq!(transcript, RERUN_TRANSCRIPT);
+        assert_eq!(tail, RERUN_JOURNAL_TAIL);
+        assert_eq!(server.farm.lock().summary.completed, 2);
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
