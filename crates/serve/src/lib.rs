@@ -162,20 +162,127 @@ pub struct ServeSummary {
     pub recovered: u64,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum JobState {
     Queued,
     Running,
-    Done,
+    /// Finished with `output`; `cache_hit` when it came from the store.
+    Done {
+        output: Arc<JobOutput>,
+        cache_hit: bool,
+    },
     Cancelled,
+}
+
+/// How a job ended: the input of the one terminal transition,
+/// `Farm::finish`, and of bind-time recovery. A verdict replayed from
+/// the journal knows how its job ended but not the run's details, so
+/// those are `None` there.
+enum Verdict {
+    /// The run's document (a runner error becomes a failed one), or, at
+    /// recovery, the `finish ok` artifact read back from the disk store.
+    Ran(Arc<JobOutput>),
+    /// Answered from the content-addressed store.
+    CacheHit(Arc<JobOutput>),
+    /// Stopped at a sweep-job boundary by its deadline:
+    /// `(deadline_ms, jobs_completed)` of the live run.
+    Deadline(Option<(u64, u64)>),
+    /// Panicked on its run and its retry, with the panic message.
+    Panic(Option<String>),
+    /// Cancelled; a job cancelled mid-run reports the sweep jobs it
+    /// completed first.
+    Cancelled(Option<u64>),
+}
+
+impl Verdict {
+    /// The terminal state and event lines this verdict gives job `id`.
+    fn outcome(&self, id: u64) -> (JobState, Vec<String>) {
+        // A failed document under `code`. A live run first reports
+        // `lead`: its event name and the fields after the code.
+        let failed = |code: &str, message: String, lead: Option<(&str, String)>| {
+            let events = lead.map(|(event, fields)| {
+                event_line(id, event, &format!(", \"code\": \"{code}\"{fields}"))
+            });
+            let document = error_body(code, &message);
+            (
+                Arc::new(JobOutput {
+                    document,
+                    failed: true,
+                }),
+                events.into_iter().collect(),
+            )
+        };
+        let recovered =
+            |what: &str| format!("recovered from the journal: the job {what} before the restart");
+        let (output, mut events) = match self {
+            Verdict::Ran(output) | Verdict::CacheHit(output) => (Arc::clone(output), Vec::new()),
+            Verdict::Deadline(Some((deadline_ms, n))) => failed(
+                codes::SERVE_JOB_DEADLINE,
+                format!(
+                    "deadline of {deadline_ms}ms exceeded; stopped at a sweep-job boundary after {n} jobs"
+                ),
+                Some(("deadline", format!(", \"jobs_completed\": {n}"))),
+            ),
+            Verdict::Deadline(None) => failed(
+                codes::SERVE_JOB_DEADLINE,
+                recovered("exceeded its deadline"),
+                None,
+            ),
+            Verdict::Panic(Some(panic)) => failed(
+                codes::SERVE_JOB_PANIC,
+                format!("job panicked on its run and its retry: {panic}"),
+                Some(("panicked", String::new())),
+            ),
+            Verdict::Panic(None) => failed(codes::SERVE_JOB_PANIC, recovered("panicked"), None),
+            Verdict::Cancelled(progress) => {
+                let fields = progress.map_or(String::new(), |n| format!(", \"jobs_completed\": {n}"));
+                return (
+                    JobState::Cancelled,
+                    vec![event_line(id, "cancelled", &fields)],
+                );
+            }
+        };
+        let cache_hit = matches!(self, Verdict::CacheHit(_));
+        events.push(event_line(
+            id,
+            "finished",
+            &format!(
+                ", \"cache\": \"{}\", \"failed\": {}",
+                if cache_hit { "hit" } else { "miss" },
+                u8::from(output.failed)
+            ),
+        ));
+        (JobState::Done { output, cache_hit }, events)
+    }
+
+    /// The journal record of this verdict.
+    fn record(&self, id: u64) -> String {
+        let disposition = match self {
+            Verdict::Ran(output) | Verdict::CacheHit(output) => journal::Disposition::Ok {
+                failed: output.failed,
+            },
+            Verdict::Deadline(_) => journal::Disposition::Deadline,
+            Verdict::Panic(_) => journal::Disposition::Panic,
+            Verdict::Cancelled(_) => return journal::record::cancel(id),
+        };
+        journal::record::finish(id, disposition)
+    }
+
+    /// The summary counter this verdict bumps.
+    fn counter<'s>(&self, summary: &'s mut ServeSummary) -> &'s mut u64 {
+        match self {
+            Verdict::Ran(_) => &mut summary.completed,
+            Verdict::CacheHit(_) => &mut summary.cache_hits,
+            Verdict::Deadline(_) => &mut summary.deadlines,
+            Verdict::Panic(_) => &mut summary.panicked,
+            Verdict::Cancelled(_) => &mut summary.cancelled,
+        }
+    }
 }
 
 struct Job {
     argv: Vec<String>,
     fingerprint: u64,
     state: JobState,
-    cache_hit: bool,
-    document: Option<Arc<JobOutput>>,
     /// Pre-rendered NDJSON event lines; watchers replay from an index.
     events: Vec<String>,
     /// Effective per-job deadline (spec `deadline_ms`, else the farm
@@ -194,14 +301,28 @@ struct Job {
 }
 
 impl Job {
-    fn new(argv: Vec<String>, fingerprint: u64, deadline_ms: Option<u64>) -> Job {
+    /// A queued job whose first event line announces it with the
+    /// submission's cache disposition.
+    fn new(
+        id: u64,
+        argv: Vec<String>,
+        fingerprint: u64,
+        deadline_ms: Option<u64>,
+        cache: &str,
+    ) -> Job {
+        let queued = event_line(
+            id,
+            "queued",
+            &format!(
+                ", \"kind\": \"{}\", \"fingerprint\": \"{fingerprint:016x}\", \"cache\": \"{cache}\"",
+                argv[0]
+            ),
+        );
         Job {
             argv,
             fingerprint,
             state: JobState::Queued,
-            cache_hit: false,
-            document: None,
-            events: Vec::new(),
+            events: vec![queued],
             deadline_ms,
             cancel: Arc::new(AtomicBool::new(false)),
             attempts: 0,
@@ -331,7 +452,6 @@ impl Farm {
             }
         };
         let spec::JobRequest { argv, deadline_ms } = request;
-        let kind = argv[0].clone();
         let fingerprint = job_fingerprint(&argv);
         let mut st = self.lock();
         if st.draining {
@@ -344,39 +464,8 @@ impl Farm {
                 ),
             );
         }
-        if let Some(artifact) = st.store.get(&fingerprint).cloned() {
-            // Cache hit: the job is born Done, no queue entry, no worker.
-            // Journaled as submit+finish so a restart replays it as the
-            // finished job it is.
-            let id = st.next_id;
-            st.next_id += 1;
-            let failed = artifact.failed;
-            let mut job = Job::new(argv, fingerprint, deadline_ms);
-            job.state = JobState::Done;
-            job.cache_hit = true;
-            job.document = Some(artifact);
-            job.events = vec![
-                queued_event(id, &kind, fingerprint, "hit"),
-                finished_event(id, "hit", failed),
-            ];
-            st.jobs.insert(id, job);
-            Farm::journal_append(
-                &mut st,
-                &journal::record::submit(id, fingerprint, runner_spec),
-            );
-            Farm::journal_append(
-                &mut st,
-                &journal::record::finish(id, journal::Disposition::Ok { failed }),
-            );
-            Farm::journal_sync(&mut st);
-            st.summary.cache_hits += 1;
-            self.cv.notify_all();
-            return (
-                200,
-                format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cache\": \"hit\"}}\n"),
-            );
-        }
-        if st.queue.len() >= capacity {
+        let artifact = st.store.get(&fingerprint).cloned();
+        if artifact.is_none() && st.queue.len() >= capacity {
             st.summary.rejected += 1;
             return (
                 503,
@@ -388,9 +477,22 @@ impl Farm {
         }
         let id = st.next_id;
         st.next_id += 1;
-        let mut job = Job::new(argv, fingerprint, deadline_ms);
-        job.events = vec![queued_event(id, &kind, fingerprint, "miss")];
-        st.jobs.insert(id, job);
+        let cache = if artifact.is_some() { "hit" } else { "miss" };
+        let ack =
+            format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cache\": \"{cache}\"}}\n");
+        st.jobs
+            .insert(id, Job::new(id, argv, fingerprint, deadline_ms, cache));
+        let submitted = Farm::journal_append(
+            &mut st,
+            &journal::record::submit(id, fingerprint, runner_spec),
+        );
+        if let Some(artifact) = artifact {
+            // Cache hit: the job finishes at once, with no queue entry
+            // and no worker. Journaled as submit+finish so a restart
+            // replays it as the finished job it is.
+            self.finish(&mut st, id, &Verdict::CacheHit(artifact));
+            return (200, ack);
+        }
         // Write-ahead: the submit record is durable before the job is
         // visible to the dispatcher and before the client gets its ack —
         // an acknowledged job can never be lost to a crash. If the
@@ -398,11 +500,7 @@ impl Farm {
         // submission is refused instead (the journal is poisoned by the
         // failure; a retry lands on the now-volatile farm and is
         // accepted under the weaker contract it advertises).
-        let durable = Farm::journal_append(
-            &mut st,
-            &journal::record::submit(id, fingerprint, runner_spec),
-        ) && Farm::journal_sync(&mut st);
-        if !durable {
+        if !(submitted && Farm::journal_sync(&mut st)) {
             st.jobs.remove(&id);
             st.summary.rejected += 1;
             return (
@@ -416,68 +514,71 @@ impl Farm {
         }
         st.queue.push_back(id);
         self.cv.notify_all();
-        (
-            200,
-            format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cache\": \"miss\"}}\n"),
-        )
+        (200, ack)
     }
 
     fn cancel(&self, id: u64) -> (u16, String) {
         let mut st = self.lock();
-        let Some(job) = st.jobs.get(&id) else {
-            return (
+        let body = |tail: &str| {
+            format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cancelled\": {tail}}}\n")
+        };
+        match st.jobs.get(&id).map(|job| &job.state) {
+            None => (
                 404,
                 error_body(codes::SERVE_UNKNOWN_JOB, &format!("no job {id}")),
-            );
-        };
-        let state = job.state;
-        match state {
-            JobState::Queued => {
+            ),
+            Some(JobState::Queued) => {
                 st.queue.retain(|&q| q != id);
-                let job = st.jobs.get_mut(&id).expect("job exists");
-                job.state = JobState::Cancelled;
-                Farm::journal_job(&mut st, id, &journal::record::cancel(id));
-                Farm::journal_sync(&mut st);
-                Farm::event(
-                    &mut st,
-                    id,
-                    format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"cancelled\"}}"),
-                );
-                st.summary.cancelled += 1;
-                self.cv.notify_all();
-                (
-                    200,
-                    format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cancelled\": 1}}\n"),
-                )
+                self.finish(&mut st, id, &Verdict::Cancelled(None));
+                (200, body("1"))
             }
             // Cooperative: raise the job's cancellation token; the worker
             // observes it at the next sweep-job boundary, discards partial
             // work, and finalizes the job as cancelled. Best-effort — a
             // run already past its last boundary finishes normally.
-            JobState::Running => {
-                let job = st.jobs.get(&id).expect("job exists");
-                job.cancel.store(true, Ordering::Relaxed);
-                Farm::event(
-                    &mut st,
-                    id,
-                    format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"cancel-requested\"}}"),
-                );
+            Some(JobState::Running) => {
+                st.jobs[&id].cancel.store(true, Ordering::Relaxed);
+                Farm::event(&mut st, id, event_line(id, "cancel-requested", ""));
                 self.cv.notify_all();
-                (
-                    200,
-                    format!(
-                        "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cancelled\": 1, \"state\": \"running\"}}\n"
-                    ),
-                )
+                (200, body("1, \"state\": \"running\""))
             }
-            _ => (
-                409,
-                format!(
-                    "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"cancelled\": 0, \"state\": \"{}\"}}\n",
-                    state_label(state)
-                ),
-            ),
+            Some(state) => {
+                let label = match state {
+                    JobState::Cancelled => "cancelled",
+                    _ => "done",
+                };
+                (409, body(&format!("0, \"state\": \"{label}\"")))
+            }
         }
+    }
+
+    /// The one terminal transition of a live job, in this order: set
+    /// the state; for a run, spill the artifact and store it (a durable
+    /// `finish ok` always has its artifact); journal the terminal record
+    /// (unless the journal already holds one) and sync; push the event
+    /// lines; bump the summary counter; wake every waiter.
+    fn finish(&self, st: &mut FarmState, id: u64, verdict: &Verdict) {
+        let (state, events) = verdict.outcome(id);
+        let Some(job) = st.jobs.get_mut(&id) else {
+            return;
+        };
+        job.state = state;
+        let fingerprint = job.fingerprint;
+        if let Verdict::Ran(artifact) = verdict {
+            if let Some(dir) = &st.state_dir {
+                if let Err(e) = journal::write_artifact(dir, fingerprint, &artifact.document) {
+                    eprintln!("simsym serve: artifact spill failed: {e}");
+                }
+            }
+            st.store.insert(fingerprint, Arc::clone(artifact));
+        }
+        Farm::journal_job(st, id, &verdict.record(id));
+        Farm::journal_sync(st);
+        for line in events {
+            Farm::event(st, id, line);
+        }
+        *verdict.counter(&mut st.summary) += 1;
+        self.cv.notify_all();
     }
 
     /// The dispatcher loop: drain the queue in batches, shard each batch
@@ -519,20 +620,14 @@ impl Farm {
                     return;
                 };
                 // Cancelled between batch drain and execution: skip.
-                if job.state != JobState::Queued {
+                if !matches!(job.state, JobState::Queued) {
                     return;
                 }
                 job.state = JobState::Running;
             }
             st.in_flight += 1;
             Farm::journal_job(&mut st, id, &journal::record::start(id));
-            Farm::event(
-                &mut st,
-                id,
-                format!(
-                    "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"started\"}}"
-                ),
-            );
+            Farm::event(&mut st, id, event_line(id, "started", ""));
             self.cv.notify_all();
             let job = st.jobs.get(&id).expect("running job exists");
             (
@@ -554,153 +649,60 @@ impl Farm {
 
         let mut st = self.lock();
         st.in_flight -= 1;
-        if cancel.load(Ordering::Relaxed) {
+        let verdict = if cancel.load(Ordering::Relaxed) {
             // Cancelled mid-run: partial work is discarded, nothing is
             // cached (the job never produced its real artifact).
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Cancelled;
-            }
-            Farm::journal_job(&mut st, id, &journal::record::cancel(id));
-            Farm::journal_sync(&mut st);
-            Farm::event(
-                &mut st,
-                id,
-                format!(
-                    "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"cancelled\", \"jobs_completed\": {}}}",
-                    signal.jobs_completed()
-                ),
-            );
-            st.summary.cancelled += 1;
+            Verdict::Cancelled(Some(signal.jobs_completed()))
         } else if signal.fired() {
             // Deadline. The run may have returned a partial document or
             // even panicked on the truncated result — either way the only
             // honest artifact is the deadline verdict, and it is not
             // cached (a resubmission deserves a fresh budget).
-            let message = format!(
-                "deadline of {}ms exceeded; stopped at a sweep-job boundary after {} jobs",
-                deadline_ms.unwrap_or(0),
-                signal.jobs_completed()
-            );
-            let artifact = Arc::new(JobOutput {
-                document: error_body(codes::SERVE_JOB_DEADLINE, &message),
-                failed: true,
-            });
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Done;
-                job.document = Some(artifact);
-            }
-            Farm::journal_job(
-                &mut st,
-                id,
-                &journal::record::finish(id, journal::Disposition::Deadline),
-            );
-            Farm::journal_sync(&mut st);
-            Farm::event(
-                &mut st,
-                id,
-                format!(
-                    "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"deadline\", \"code\": \"{}\", \"jobs_completed\": {}}}",
-                    codes::SERVE_JOB_DEADLINE,
-                    signal.jobs_completed()
-                ),
-            );
-            Farm::event(&mut st, id, finished_event(id, "miss", true));
-            st.summary.deadlines += 1;
+            Verdict::Deadline(Some((deadline_ms.unwrap_or(0), signal.jobs_completed())))
         } else {
             match outcome {
                 Err(payload) => {
                     let message = panic_message(payload.as_ref());
-                    let attempts = st.jobs.get(&id).map_or(1, |j| j.attempts);
-                    if attempts == 0 {
+                    let Some(job) = st.jobs.get_mut(&id) else {
+                        return;
+                    };
+                    if job.attempts == 0 {
                         // Bounded retry: the job died without an artifact;
                         // re-queue it once. No journal record — it stays
                         // unfinished, which is exactly what it is.
-                        if let Some(job) = st.jobs.get_mut(&id) {
-                            job.attempts = 1;
-                            job.state = JobState::Queued;
-                        }
+                        job.attempts = 1;
+                        job.state = JobState::Queued;
                         st.queue.push_back(id);
                         Farm::event(
                             &mut st,
                             id,
-                            format!(
-                                "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"retrying\", \"code\": \"{}\", \"panic\": {}}}",
-                                codes::SERVE_JOB_PANIC,
-                                json_string(&message)
+                            event_line(
+                                id,
+                                "retrying",
+                                &format!(
+                                    ", \"code\": \"{}\", \"panic\": {}",
+                                    codes::SERVE_JOB_PANIC,
+                                    json_string(&message)
+                                ),
                             ),
                         );
                         st.summary.retried += 1;
-                    } else {
-                        let artifact = Arc::new(JobOutput {
-                            document: error_body(
-                                codes::SERVE_JOB_PANIC,
-                                &format!("job panicked on its run and its retry: {message}"),
-                            ),
-                            failed: true,
-                        });
-                        if let Some(job) = st.jobs.get_mut(&id) {
-                            job.state = JobState::Done;
-                            job.document = Some(artifact);
-                        }
-                        Farm::journal_job(
-                            &mut st,
-                            id,
-                            &journal::record::finish(id, journal::Disposition::Panic),
-                        );
-                        Farm::journal_sync(&mut st);
-                        Farm::event(
-                            &mut st,
-                            id,
-                            format!(
-                                "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"panicked\", \"code\": \"{}\"}}",
-                                codes::SERVE_JOB_PANIC
-                            ),
-                        );
-                        Farm::event(&mut st, id, finished_event(id, "miss", true));
-                        st.summary.panicked += 1;
+                        self.cv.notify_all();
+                        return;
                     }
+                    Verdict::Panic(Some(message))
                 }
-                Ok(run_result) => {
-                    let output = match run_result {
-                        Ok(out) => out,
-                        Err(e) => JobOutput {
-                            document: format!(
-                                "{{\"schema\": \"simsym-serve/v1\", \"error\": {}}}\n",
-                                json_string(&e)
-                            ),
-                            failed: true,
-                        },
-                    };
-                    let artifact = Arc::new(output);
-                    let fingerprint = st.jobs.get(&id).map(|j| j.fingerprint);
-                    if let Some(fp) = fingerprint {
-                        // Artifact bytes hit the disk store before the
-                        // finish record: a durable `finish ok` always has
-                        // its artifact.
-                        if let Some(dir) = st.state_dir.clone() {
-                            if let Err(e) = journal::write_artifact(&dir, fp, &artifact.document) {
-                                eprintln!("simsym serve: artifact spill failed: {e}");
-                            }
-                        }
-                        st.store.insert(fp, Arc::clone(&artifact));
-                    }
-                    let failed = artifact.failed;
-                    if let Some(job) = st.jobs.get_mut(&id) {
-                        job.state = JobState::Done;
-                        job.document = Some(artifact);
-                    }
-                    Farm::journal_job(
-                        &mut st,
-                        id,
-                        &journal::record::finish(id, journal::Disposition::Ok { failed }),
-                    );
-                    Farm::journal_sync(&mut st);
-                    Farm::event(&mut st, id, finished_event(id, "miss", failed));
-                    st.summary.completed += 1;
-                }
+                Ok(Ok(output)) => Verdict::Ran(Arc::new(output)),
+                Ok(Err(e)) => Verdict::Ran(Arc::new(JobOutput {
+                    document: format!(
+                        "{{\"schema\": \"simsym-serve/v1\", \"error\": {}}}\n",
+                        json_string(&e)
+                    ),
+                    failed: true,
+                })),
             }
-        }
-        self.cv.notify_all();
+        };
+        self.finish(&mut st, id, &verdict);
     }
 
     /// Blocks until job `id` reaches a terminal state; returns its
@@ -711,9 +713,9 @@ impl Farm {
             let Some(job) = st.jobs.get(&id) else {
                 return Err(format!("no job {id}"));
             };
-            match job.state {
-                JobState::Done => {
-                    return Ok(job.document.clone().map(|d| (d, job.cache_hit)));
+            match &job.state {
+                JobState::Done { output, cache_hit } => {
+                    return Ok(Some((Arc::clone(output), *cache_hit)));
                 }
                 JobState::Cancelled => return Ok(None),
                 _ => st = self.cv.wait(st).expect("farm state poisoned"),
@@ -722,26 +724,10 @@ impl Farm {
     }
 }
 
-fn state_label(state: JobState) -> &'static str {
-    match state {
-        JobState::Queued => "queued",
-        JobState::Running => "running",
-        JobState::Done => "done",
-        JobState::Cancelled => "cancelled",
-    }
-}
-
-fn queued_event(id: u64, kind: &str, fingerprint: u64, cache: &str) -> String {
-    format!(
-        "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"queued\", \"kind\": \"{kind}\", \"fingerprint\": \"{fingerprint:016x}\", \"cache\": \"{cache}\"}}"
-    )
-}
-
-fn finished_event(id: u64, cache: &str, failed: bool) -> String {
-    format!(
-        "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"finished\", \"cache\": \"{cache}\", \"failed\": {}}}",
-        u8::from(failed)
-    )
+/// One `simsym-serve/v1` event line for job `id`; `fields` is empty or
+/// starts with `", "`.
+fn event_line(id: u64, event: &str, fields: &str) -> String {
+    format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"{event}\"{fields}}}")
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -896,9 +882,11 @@ impl Server {
     }
 }
 
-/// Rebuilds farm state from replayed journal jobs. Finished `ok` jobs
-/// whose artifact file is missing are demoted to unfinished and re-run —
-/// always safe, because execution is deterministic.
+/// Rebuilds farm state from replayed journal jobs: each journaled
+/// verdict goes through the same outcome mapping as a live one, and
+/// nothing is journaled. Finished `ok` jobs whose artifact file is
+/// missing are demoted to unfinished and re-run — always safe, because
+/// execution is deterministic.
 fn recover_jobs(
     state: &mut FarmState,
     dir: &std::path::Path,
@@ -906,30 +894,18 @@ fn recover_jobs(
 ) -> (u64, u64) {
     let mut requeued = 0u64;
     let mut artifacts = 0u64;
-    let recovered_event = |id: u64| {
-        format!("{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"recovered\"}}")
-    };
     for rj in jobs {
-        let kind = rj.argv.first().cloned().unwrap_or_default();
-        let mut job = Job::new(rj.argv, rj.fingerprint, rj.deadline_ms);
-        job.events = vec![
-            queued_event(rj.id, &kind, rj.fingerprint, "miss"),
-            recovered_event(rj.id),
-        ];
-        let finish = |job: &mut Job, document: String, failed: bool| {
-            let artifact = Arc::new(JobOutput { document, failed });
-            job.state = JobState::Done;
-            job.document = Some(artifact);
-            job.events.push(finished_event(rj.id, "miss", failed));
-        };
-        match rj.state {
+        let mut job = Job::new(rj.id, rj.argv, rj.fingerprint, rj.deadline_ms, "miss");
+        job.events.push(event_line(rj.id, "recovered", ""));
+        let verdict = match rj.state {
             journal::RecoveredState::Finished(journal::Disposition::Ok { failed }) => {
-                if let Some(document) = journal::read_artifact(dir, rj.fingerprint) {
-                    finish(&mut job, document, failed);
-                    let artifact = job.document.clone().expect("just finished");
-                    state.store.insert(rj.fingerprint, artifact);
-                    artifacts += 1;
-                } else {
+                match journal::read_artifact(dir, rj.fingerprint) {
+                    Some(document) => {
+                        let artifact = Arc::new(JobOutput { document, failed });
+                        state.store.insert(rj.fingerprint, Arc::clone(&artifact));
+                        artifacts += 1;
+                        Some(Verdict::Ran(artifact))
+                    }
                     // Demoted: the journal's verdict stands (terminal,
                     // ok) but the artifact bytes are gone, so the job
                     // re-runs to regenerate them. The re-execution is
@@ -937,33 +913,28 @@ fn recover_jobs(
                     // job's terminal record, and replay would read a
                     // second start/finish as corruption, bricking the
                     // state dir on the restart after this one.
-                    job.journaled_terminal = true;
-                    state.queue.push_back(rj.id);
-                    requeued += 1;
+                    None => {
+                        job.journaled_terminal = true;
+                        None
+                    }
                 }
             }
             journal::RecoveredState::Finished(journal::Disposition::Deadline) => {
-                let body = error_body(
-                    codes::SERVE_JOB_DEADLINE,
-                    "recovered from the journal: the job exceeded its deadline before the restart",
-                );
-                finish(&mut job, body, true);
+                Some(Verdict::Deadline(None))
             }
             journal::RecoveredState::Finished(journal::Disposition::Panic) => {
-                let body = error_body(
-                    codes::SERVE_JOB_PANIC,
-                    "recovered from the journal: the job panicked before the restart",
-                );
-                finish(&mut job, body, true);
+                Some(Verdict::Panic(None))
             }
-            journal::RecoveredState::Cancelled => {
-                job.state = JobState::Cancelled;
-                job.events.push(format!(
-                    "{{\"schema\": \"simsym-serve/v1\", \"job\": {}, \"event\": \"cancelled\"}}",
-                    rj.id
-                ));
+            journal::RecoveredState::Cancelled => Some(Verdict::Cancelled(None)),
+            journal::RecoveredState::Unfinished => None,
+        };
+        match verdict {
+            Some(verdict) => {
+                let (terminal, events) = verdict.outcome(rj.id);
+                job.state = terminal;
+                job.events.extend(events);
             }
-            journal::RecoveredState::Unfinished => {
+            None => {
                 state.queue.push_back(rj.id);
                 requeued += 1;
             }
@@ -1257,12 +1228,11 @@ fn stream_events(stream: &mut TcpStream, farm: &Farm, id: u64) {
             let mut st = farm.lock();
             loop {
                 let Some(job) = st.jobs.get(&id) else { return };
+                let terminal = matches!(job.state, JobState::Done { .. } | JobState::Cancelled);
                 if job.events.len() > sent {
-                    let fresh: Vec<String> = job.events[sent..].to_vec();
-                    let terminal = matches!(job.state, JobState::Done | JobState::Cancelled);
-                    break (fresh, terminal);
+                    break (job.events[sent..].to_vec(), terminal);
                 }
-                if matches!(job.state, JobState::Done | JobState::Cancelled) {
+                if terminal {
                     return; // all events delivered, job terminal: close.
                 }
                 st = farm.cv.wait(st).expect("farm state poisoned");
