@@ -1733,6 +1733,26 @@ mod tests {
     }
 
     #[test]
+    fn a_spec_file_system_is_refused_before_it_is_journaled() {
+        let dir = state_dir("spec-file");
+        let server = Server::bind(journaled_config(&dir), Arc::new(EchoRunner)).expect("bind");
+        let header = journal_text(&dir);
+        let (status, body) = server
+            .farm
+            .submit("{\"kind\": \"lint\", \"system\": \"@/dev/zero\"}");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("SERVE-JOB-SPEC"), "{body}");
+        assert_eq!(journal_text(&dir), header, "a refused job leaves no line");
+        assert_eq!(server.farm.lock().summary.rejected, 1);
+        let (status, body) = server
+            .farm
+            .submit("{\"kind\": \"lint\", \"system\": \"ring:3\"}");
+        assert_eq!(status, 200, "{body}");
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn submit_ack_is_durable_before_it_is_sent() {
         let dir = state_dir("durable-ack");
         let mut config = test_config(1, 8);

@@ -15,7 +15,9 @@
 //! fields, and type mismatches are rejected with a message suitable for
 //! a `SERVE-JOB-SPEC` diagnostic; value-level validation (family names,
 //! flag ranges) is left to the runner, exactly as the shell leaves it to
-//! the CLI.
+//! the CLI. The one exception is a `system` naming a spec file (`@path`):
+//! the farm would read that file from its own host, so it is refused
+//! here, before anything is journaled.
 
 use simsym_vm::json::{self, push_json_string};
 
@@ -113,6 +115,19 @@ impl Fields {
         }
     }
 
+    /// The required `system` field: a family spec such as `ring:5`. A
+    /// spec file (`@path`) would make the farm read a file of its own
+    /// host, of any size, so it is refused.
+    fn system(&mut self) -> Result<String, String> {
+        let system = self.str_req("system")?;
+        if system.starts_with('@') {
+            return Err(format!(
+                "system {system:?} names a spec file; a farm job takes a family spec such as \"ring:5\""
+            ));
+        }
+        Ok(system)
+    }
+
     fn reject_leftovers(self, kind: &str) -> Result<(), String> {
         if let Some((key, _)) = self.0.first() {
             return Err(format!("unknown field {key:?} for kind {kind:?}"));
@@ -181,14 +196,14 @@ pub fn job_request(spec_json: &str) -> Result<JobRequest, String> {
         // the system across the strided-partition (scheduler, seed) grid.
         "sweep" => {
             argv.push("lint".into());
-            argv.push(f.str_req("system")?);
+            argv.push(f.system()?);
             argv.push("--sweep".into());
             push_opt_u(&mut argv, "--seed", f.uint_opt("seed")?);
             push_opt_u(&mut argv, "--steps", f.uint_opt("steps")?);
         }
         "lint" => {
             argv.push("lint".into());
-            argv.push(f.str_req("system")?);
+            argv.push(f.system()?);
             if let Some(p) = f.str_opt("program")? {
                 argv.push("--program".into());
                 argv.push(p);
@@ -404,6 +419,11 @@ mod tests {
                 .unwrap_err()
                 .contains("unknown field \"interference\"")
         );
+        // A spec file would be read from the farm's own host.
+        for kind in ["lint", "sweep"] {
+            let spec = format!("{{\"kind\":\"{kind}\",\"system\":\"@/dev/zero\"}}");
+            assert!(job_argv(&spec).unwrap_err().contains("names a spec file"));
+        }
         assert!(job_argv("{\"kind\":\"lint\",\"system\":3}")
             .unwrap_err()
             .contains("must be a string"));

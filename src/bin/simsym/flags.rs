@@ -15,13 +15,21 @@ pub enum Kind {
     U64(&'static str),
     /// A `usize`: `bad depth "x"`.
     Usize(&'static str),
-    /// A positive integer; the noun is one unit: `at least one seed`.
+    /// A positive count of at most [`MAX_COUNT`]; the noun is one unit:
+    /// `at least one seed`. Counts size what a command fans out over.
     Count(&'static str),
+    /// A positive integer with no ceiling (a time budget); the noun is
+    /// one unit, as for `Count`.
+    Positive(&'static str),
     /// Any string; the noun is what is missing: `--repro-out needs a file`.
     Str(&'static str),
     /// One of a fixed list of names: `unknown reduction "x" (have: ...)`.
     Enum(&'static str, &'static [&'static str]),
 }
+
+/// The ceiling of every `Count` flag. A larger value is a usage error,
+/// refused before the count sizes any allocation.
+pub const MAX_COUNT: u64 = 1 << 20;
 
 /// A subcommand's flags: each name with what it takes.
 pub type Table = [(&'static str, Kind)];
@@ -95,14 +103,17 @@ fn typed(name: &str, kind: Kind, v: &str) -> Result<Value, String> {
             .parse::<usize>()
             .map(|n| Value::Num(n as u64))
             .map_err(|_| format!("bad {what} {v:?}")),
-        Kind::Count(unit) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .map(Value::Num)
-            .ok_or_else(|| {
+        Kind::Count(unit) | Kind::Positive(unit) => {
+            let n = v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                 format!("{name} needs a positive integer: at least one {unit} (got {v:?})")
-            }),
+            })?;
+            if matches!(kind, Kind::Count(_)) && n > MAX_COUNT {
+                return Err(format!(
+                    "{name} takes at most {MAX_COUNT} {unit}s (got {v:?})"
+                ));
+            }
+            Ok(Value::Num(n))
+        }
         Kind::Enum(what, names) if !names.contains(&v) => Err(format!(
             "unknown {what} {v:?} (have: {})",
             names.join(" | ")
@@ -121,7 +132,7 @@ impl Flags {
         self.get(name).is_some()
     }
 
-    /// A `U64` or `Count` flag's value.
+    /// A `U64`, `Count` or `Positive` flag's value.
     pub fn u64(&self, name: &str) -> Option<u64> {
         match self.get(name) {
             Some(Value::Num(n)) => Some(*n),

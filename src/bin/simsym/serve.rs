@@ -20,7 +20,7 @@ pub fn serve(args: &[String]) -> Result<CmdOut, String> {
             ("--workers", Kind::Count("worker")),
             ("--queue", Kind::Count("queued job")),
             ("--state-dir", Kind::Str("a directory")),
-            ("--default-deadline-ms", Kind::Count("millisecond")),
+            ("--default-deadline-ms", Kind::Positive("millisecond")),
         ],
     )?;
     flags.no_rest("serve argument")?;
@@ -76,7 +76,7 @@ pub fn submit(args: &[String]) -> Result<CmdOut, String> {
         args,
         &[
             flags::ADDR,
-            ("--deadline-ms", Kind::Count("millisecond")),
+            ("--deadline-ms", Kind::Positive("millisecond")),
             ("--watch", Kind::Switch),
         ],
     )?;

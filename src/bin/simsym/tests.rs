@@ -550,6 +550,18 @@ fn faults_rejects_bad_flags() {
             .unwrap_err()
             .contains("at least one seed")
     );
+    // A seed list this long would abort on allocation.
+    assert!(call(&[
+        "faults",
+        "--family",
+        "ring",
+        "--plan",
+        "crash",
+        "--sweep",
+        "100000000000"
+    ])
+    .unwrap_err()
+    .contains("--sweep takes at most 1048576 seeds"));
 }
 
 #[test]
@@ -746,6 +758,11 @@ fn soak_rejects_bad_flags() {
     assert!(call(&["soak", "--family", "ring", "--budget", "0"])
         .unwrap_err()
         .contains("at least one run"));
+    assert!(
+        call(&["soak", "--family", "ring", "--budget", "100000000000"])
+            .unwrap_err()
+            .contains("--budget takes at most 1048576 runs")
+    );
     assert!(call(&["soak", "--family", "ring", "--frobnicate"])
         .unwrap_err()
         .contains("unknown soak flag"));
@@ -1487,6 +1504,15 @@ fn an_undersized_verify_job_fails_without_panicking_a_worker() {
             "{\"kind\":\"lint\",\"system\":\"ring:200000000\",\"static\":true}",
             "more than 2^22",
         ),
+        // So would a seed list or a run budget this long.
+        (
+            "{\"kind\":\"faults\",\"family\":\"ring\",\"plan\":\"crash\",\"sweep\":100000000000}",
+            "at most 1048576",
+        ),
+        (
+            "{\"kind\":\"soak\",\"family\":\"ring\",\"budget\":100000000000}",
+            "at most 1048576",
+        ),
     ] {
         let job = farm::submit_job(&addr, spec).expect("submit");
         let result = farm::fetch_result(&addr, job.job).expect("result");
@@ -1496,5 +1522,5 @@ fn an_undersized_verify_job_fails_without_panicking_a_worker() {
     farm::shutdown(&addr).expect("shutdown");
     let summary = handle.join().expect("farm thread").expect("farm run");
     assert_eq!((summary.panicked, summary.retried), (0, 0));
-    assert_eq!(summary.completed, 2);
+    assert_eq!(summary.completed, 4);
 }
