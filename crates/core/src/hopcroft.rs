@@ -23,7 +23,7 @@
 
 use crate::refine::initial_partition;
 use crate::{Labeling, Model};
-use simsym_graph::{CsrAdjacency, Node, ProcId, SystemGraph, VarId};
+use simsym_graph::{Node, ProcId, SystemGraph, VarId};
 use simsym_vm::SystemInit;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -39,14 +39,13 @@ pub fn hopcroft_similarity(graph: &SystemGraph, init: &SystemInit, model: Model)
 
 /// Runs worklist refinement from an arbitrary starting partition.
 pub fn refine_worklist(graph: &SystemGraph, start: Labeling, model: Model) -> Labeling {
-    let csr = CsrAdjacency::new(graph);
     let mut p = Partition::new(graph, &start);
     // Seed: every initial class is a potential splitter.
     let mut worklist: VecDeque<usize> = (0..p.class_count()).collect();
     let mut queued = vec![true; p.class_count()];
     while let Some(b) = worklist.pop_front() {
         queued[b] = false;
-        let splits = p.split_by(&csr, model, b);
+        let splits = p.split_by(graph, model, b);
         for (_origin, mut parts) in splits {
             if model.counts_neighbors() {
                 // Hopcroft: enqueue all but the largest part — unless the
@@ -178,8 +177,8 @@ impl Partition {
 
     /// Splits every class touched by splitter `b`. Returns, per class that
     /// actually split, the list of resulting class ids (old id first).
-    fn split_by(&mut self, csr: &CsrAdjacency, model: Model, b: usize) -> Vec<(usize, Vec<usize>)> {
-        let names = csr.name_count();
+    fn split_by(&mut self, g: &SystemGraph, model: Model, b: usize) -> Vec<(usize, Vec<usize>)> {
+        let names = g.name_count();
         let pc = self.procs;
         // Phase 1: accumulate per-name counts relative to B for every
         // affected node. For processors the count row is indexed by the
@@ -192,14 +191,14 @@ impl Partition {
             let m = self.splitter[i] as usize;
             if m < pc {
                 // Splitter member is a processor: affect its variables.
-                for (ni, &v) in csr.proc_row(ProcId::new(m)).iter().enumerate() {
+                for (ni, &v) in g.processor_neighbors(ProcId::new(m)).iter().enumerate() {
                     let node = pc + v.index();
                     self.touch(node);
                     self.cnt[node * names + ni] += 1;
                 }
             } else {
                 // Splitter member is a variable: affect its processors.
-                for &(p, name) in csr.var_edges(VarId::new(m - pc)) {
+                for &(p, name) in g.variable_edges(VarId::new(m - pc)) {
                     let node = p.index();
                     self.touch(node);
                     self.cnt[node * names + name.index()] += 1;

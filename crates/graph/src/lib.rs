@@ -40,7 +40,6 @@
 //! ```
 
 pub mod automorphism;
-mod csr;
 pub mod dot;
 mod error;
 mod ids;
@@ -49,7 +48,6 @@ pub mod spec;
 mod system;
 pub mod topology;
 
-pub use csr::CsrAdjacency;
 pub use error::GraphError;
 pub use ids::{Node, ProcId, VarId};
 pub use names::{NameId, NameTable};

@@ -2,9 +2,9 @@
 //!
 //! A long-running job server over the batch engines: clients POST job
 //! specs (sweep / lint / faults / soak / verify, see [`spec`]) to a
-//! bounded queue; a worker pool drains the queue in batches through the
-//! deterministic strided-partition sweep
-//! ([`simsym_vm::engine::sweep::run_jobs`]), so every job's artifact is
+//! bounded queue that holds exactly the jobs not yet started. A fixed
+//! pool of workers each takes the oldest queued job and runs it through
+//! the batch CLI's own dispatcher, so every job's artifact is
 //! **byte-identical for any worker count** and identical to what the
 //! batch CLI prints for the same argv. Completed artifacts land in a
 //! content-addressed store keyed by the job fingerprint (FNV-1a64 over
@@ -56,7 +56,7 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 pub mod client;
@@ -111,8 +111,8 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:9119`. Port 0 picks an ephemeral
     /// port; [`Server::local_addr`] reports the bound one.
     pub addr: String,
-    /// Worker count for the strided-partition dispatcher. Results do not
-    /// depend on it.
+    /// Worker threads, each running one job at a time (clamped by
+    /// `SIMSYM_SWEEP_THREADS`). Results do not depend on it.
     pub workers: usize,
     /// Bounded queue capacity; submissions past it get `SERVE-QUEUE-FULL`.
     pub queue_capacity: usize,
@@ -373,7 +373,7 @@ impl Farm {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FarmState> {
+    fn lock(&self) -> MutexGuard<'_, FarmState> {
         self.state.lock().expect("farm state poisoned")
     }
 
@@ -581,61 +581,54 @@ impl Farm {
         self.cv.notify_all();
     }
 
-    /// The dispatcher loop: drain the queue in batches, shard each batch
-    /// across `workers` scoped threads via the deterministic
-    /// strided-partition sweep, repeat until told to drain and empty.
-    /// Panic-retried jobs land back on the queue and are picked up by a
-    /// later batch, so a drain still runs every acknowledged job.
+    /// The worker pool: `sweep::effective_threads(workers)` workers, the
+    /// calling thread one of them, each running the oldest queued job
+    /// until the farm drains and the queue is empty. A panic retry is
+    /// re-queued by the worker that ran it, which is still alive, so a
+    /// drain still runs every acknowledged job.
     fn dispatch(&self, runner: &dyn JobRunner, workers: usize) {
+        std::thread::scope(|s| {
+            for _ in 1..sweep::effective_threads(workers) {
+                s.spawn(|| self.work(runner));
+            }
+            self.work(runner);
+        });
+        self.lock().dispatcher_done = true;
+        self.cv.notify_all();
+    }
+
+    /// One worker: take the oldest job off the queue and run it, until
+    /// the farm is draining and the queue is empty.
+    fn work(&self, runner: &dyn JobRunner) {
         loop {
-            let batch: Vec<u64> = {
-                let mut st = self.lock();
-                loop {
-                    if !st.queue.is_empty() {
-                        break st.queue.drain(..).collect();
-                    }
-                    if st.draining {
-                        st.dispatcher_done = true;
-                        self.cv.notify_all();
-                        return;
-                    }
-                    st = self.cv.wait(st).expect("farm state poisoned");
+            let mut st = self.lock();
+            let id = loop {
+                match st.queue.pop_front() {
+                    Some(id) => break id,
+                    None if st.draining => return,
+                    None => st = self.cv.wait(st).expect("farm state poisoned"),
                 }
             };
-            // The strided partition assigns batch[i] to worker i mod W;
-            // per-job work and artifacts are deterministic regardless.
-            sweep::run_jobs(workers, &batch, |id| self.execute_job(runner, *id));
+            self.execute(runner, st, id);
         }
     }
 
-    /// Runs one job on a worker thread: panic-isolated (`catch_unwind`),
-    /// deadline- and cancel-aware (a [`StopSignal`] scoped around the
-    /// run, observed by any nested [`sweep::run_jobs`] at its job
-    /// boundaries), journaled write-ahead.
-    fn execute_job(&self, runner: &dyn JobRunner, id: u64) {
-        let (argv, cancel, deadline_ms) = {
-            let mut st = self.lock();
-            {
-                let Some(job) = st.jobs.get_mut(&id) else {
-                    return;
-                };
-                // Cancelled between batch drain and execution: skip.
-                if !matches!(job.state, JobState::Queued) {
-                    return;
-                }
-                job.state = JobState::Running;
-            }
-            st.in_flight += 1;
-            Farm::journal_job(&mut st, id, &journal::record::start(id));
-            Farm::event(&mut st, id, event_line(id, "started", ""));
-            self.cv.notify_all();
-            let job = st.jobs.get(&id).expect("running job exists");
-            (
-                job.argv.clone(),
-                Arc::clone(&job.cancel),
-                job.deadline_ms.or(self.config.default_deadline_ms),
-            )
-        };
+    /// Runs job `id`, which `st` (still held) just took off the queue,
+    /// so no cancel can land in between: panic-isolated
+    /// (`catch_unwind`), deadline- and cancel-aware (a [`StopSignal`]
+    /// scoped around the run, observed by any nested
+    /// [`sweep::run_jobs`] at its job boundaries), journaled write-ahead.
+    fn execute(&self, runner: &dyn JobRunner, mut st: MutexGuard<'_, FarmState>, id: u64) {
+        let job = st.jobs.get_mut(&id).expect("a queued job exists");
+        job.state = JobState::Running;
+        let argv = job.argv.clone();
+        let cancel = Arc::clone(&job.cancel);
+        let deadline_ms = job.deadline_ms.or(self.config.default_deadline_ms);
+        st.in_flight += 1;
+        Farm::journal_job(&mut st, id, &journal::record::start(id));
+        Farm::event(&mut st, id, event_line(id, "started", ""));
+        self.cv.notify_all();
+        drop(st);
         let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         let signal = {
             let cancel = Arc::clone(&cancel);
@@ -1937,6 +1930,15 @@ mod tests {
             .collect()
     }
 
+    impl Farm {
+        /// Takes queued job `id` off the queue and runs it on this thread.
+        fn execute_job(&self, runner: &dyn JobRunner, id: u64) {
+            let mut st = self.lock();
+            st.queue.retain(|&q| q != id);
+            self.execute(runner, st, id);
+        }
+    }
+
     fn pin_runner() -> PinRunner {
         PinRunner {
             gate: std::sync::Barrier::new(2),
@@ -2178,5 +2180,86 @@ job 7 done
         assert_eq!(server.farm.lock().summary.completed, 2);
         drop(server);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Sets the drain flag as `POST /shutdown` does, so `dispatch`
+    /// returns once the queue is empty.
+    fn drain(farm: &Farm) {
+        farm.lock().draining = true;
+        farm.cv.notify_all();
+    }
+
+    /// Whether job `id` is done within `timeout`.
+    fn done_within(farm: &Farm, id: u64, timeout: Duration) -> bool {
+        let (_st, wait) = farm
+            .cv
+            .wait_timeout_while(farm.lock(), timeout, |st| {
+                !matches!(st.jobs[&id].state, JobState::Done { .. })
+            })
+            .expect("farm state poisoned");
+        !wait.timed_out()
+    }
+
+    #[test]
+    fn an_idle_worker_runs_a_job_while_another_blocks() {
+        let farm = Farm::new(test_config(2, 8));
+        let runner = pin_runner();
+        let ran = std::thread::scope(|s| {
+            s.spawn(|| farm.dispatch(&runner, 2));
+            farm.submit("{\"kind\": \"lint\", \"system\": \"block:1\"}");
+            runner.gate.wait(); // job 0 is running
+            farm.submit("{\"kind\": \"lint\", \"system\": \"ring:3\"}");
+            let ran = done_within(&farm, 1, Duration::from_secs(5));
+            runner.gate.wait(); // job 0 may finish
+            drain(&farm);
+            ran
+        });
+        assert!(ran, "job 1 waited for the blocked job 0");
+        assert_eq!(farm.lock().summary.completed, 2);
+    }
+
+    #[test]
+    fn the_queue_bound_counts_every_job_not_yet_started() {
+        let farm = Farm::new(test_config(1, 2));
+        let runner = pin_runner();
+        let mut statuses = Vec::new();
+        // (queue length, jobs in the queued state) after every step.
+        let mut views = Vec::new();
+        // Submits `spec`, if any, then records the view.
+        let mut step = |spec: Option<&str>| {
+            if let Some(spec) = spec {
+                statuses.push(farm.submit(spec).0);
+            }
+            let st = farm.lock();
+            let queued = st
+                .jobs
+                .values()
+                .filter(|j| matches!(j.state, JobState::Queued));
+            views.push((st.queue.len(), queued.count()));
+        };
+        std::thread::scope(|s| {
+            step(Some(
+                "{\"kind\": \"lint\", \"system\": \"block:1\", \"seed\": 0}",
+            ));
+            step(Some(
+                "{\"kind\": \"lint\", \"system\": \"block:1\", \"seed\": 1}",
+            ));
+            s.spawn(|| farm.dispatch(&runner, 1));
+            runner.gate.wait(); // job 0 is running
+            step(None);
+            step(Some("{\"kind\": \"lint\", \"system\": \"ring:3\"}"));
+            step(Some("{\"kind\": \"lint\", \"system\": \"ring:4\"}"));
+            runner.gate.wait(); // job 0 may finish
+            runner.gate.wait(); // job 1 is running
+            step(None);
+            step(Some("{\"kind\": \"lint\", \"system\": \"ring:5\"}"));
+            step(Some("{\"kind\": \"lint\", \"system\": \"ring:6\"}"));
+            runner.gate.wait(); // job 1 may finish
+            drain(&farm);
+        });
+        assert_eq!(statuses, [200, 200, 200, 503, 200, 503]);
+        for (step, (queue, queued)) in views.into_iter().enumerate() {
+            assert_eq!(queue, queued, "step {step}: queue length vs queued jobs");
+        }
     }
 }

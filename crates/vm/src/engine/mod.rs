@@ -127,9 +127,6 @@ pub fn run<S: System + ?Sized>(
     probes: &mut [&mut dyn Probe<S>],
     stop: &mut dyn StopCondition<S>,
 ) -> RunReport {
-    // Reserve the whole schedule up front (capped so absurd budgets
-    // don't pre-commit memory): no reallocation during the hot loop.
-    let mut schedule = Vec::with_capacity(max_steps.min(1 << 20) as usize);
     let mut steps = 0u64;
     let mut violation = None;
     let mut reason = StopReason::MaxSteps;
@@ -140,7 +137,6 @@ pub fn run<S: System + ?Sized>(
         }
         let p = scheduler.next(system);
         system.step(p);
-        schedule.push(p);
         steps += 1;
         for probe in probes.iter_mut() {
             if let Some(v) = probe.observe(system, p) {
@@ -161,7 +157,6 @@ pub fn run<S: System + ?Sized>(
         selected: system.selected(),
         violation,
         stop: reason,
-        schedule,
     }
 }
 
@@ -222,14 +217,15 @@ mod tests {
         let mut m = select_all_machine();
         let mut sched = RoundRobin::new();
         let mut uniq = UniquenessMonitor;
-        let report = run(&mut m, &mut sched, 10, &mut [&mut uniq]);
+        let mut schedule: Vec<ProcId> = Vec::new();
+        let report = run(&mut m, &mut sched, 10, &mut [&mut schedule, &mut uniq]);
         assert_eq!(report.stop, StopReason::Violation);
         match report.violation {
             Some(Violation::Uniqueness { selected, .. }) => assert_eq!(selected.len(), 2),
             other => panic!("expected uniqueness violation, got {other:?}"),
         }
         assert_eq!(report.steps, 2);
-        assert_eq!(report.schedule.len(), 2);
+        assert_eq!(schedule.len(), 2);
     }
 
     #[test]

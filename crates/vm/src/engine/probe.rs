@@ -84,8 +84,6 @@ pub struct RunReport {
     pub violation: Option<Violation>,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// The exact schedule prefix executed.
-    pub schedule: Vec<ProcId>,
 }
 
 impl RunReport {
@@ -109,6 +107,16 @@ pub trait Probe<S: ?Sized = Machine> {
     /// Called once when the run stops, with the final system state.
     fn finish(&mut self, system: &S) {
         let _ = system;
+    }
+}
+
+/// Records the schedule: every processor stepped, in order. The loop
+/// stops calling probes at the first violation, so a recorder must come
+/// before any probe that can abort the run.
+impl<S: ?Sized> Probe<S> for Vec<ProcId> {
+    fn observe(&mut self, _system: &S, just_stepped: ProcId) -> Option<Violation> {
+        self.push(just_stepped);
+        None
     }
 }
 

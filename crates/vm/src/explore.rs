@@ -508,7 +508,8 @@ fn try_double_selection(
     // Phase 1: fair run until a first selection; capture ε and p.
     let mut m = fresh();
     let mut sched = RandomFair::seeded(eps_seed);
-    let report = run_until(&mut m, &mut sched, max_steps, &mut [], |mach| {
+    let mut epsilon: Vec<ProcId> = Vec::new();
+    let report = run_until(&mut m, &mut sched, max_steps, &mut [&mut epsilon], |mach| {
         mach.selected_count() >= 1
     });
     if report.selected.is_empty() {
@@ -518,7 +519,6 @@ fn try_double_selection(
     // ε is everything up to (excluding) p's selecting step. The selecting
     // step is the last step in the schedule taken by p (after which
     // selected_count >= 1 triggered the stop).
-    let epsilon = &report.schedule[..report.schedule.len()];
     // Find the exact position of the selecting step: replay and watch.
     let mut m = fresh();
     let mut select_pos = None;
@@ -530,7 +530,7 @@ fn try_double_selection(
         }
     }
     let select_pos = select_pos?;
-    let epsilon: Vec<ProcId> = epsilon[..select_pos].to_vec();
+    epsilon.truncate(select_pos);
 
     // Phase 2: from ε, continue without p until some q is selected (ρ).
     let mut m = fresh();
@@ -541,13 +541,13 @@ fn try_double_selection(
         return None;
     }
     let mut sched = Excluding::new(RandomFair::seeded(rho_seed), vec![p]);
-    let report2 = run_until(&mut m, &mut sched, max_steps, &mut [], |mach| {
+    let mut rho: Vec<ProcId> = Vec::new();
+    let report2 = run_until(&mut m, &mut sched, max_steps, &mut [&mut rho], |mach| {
         mach.selected().iter().any(|&q| q != p)
     });
     if !report2.selected.iter().any(|&q| q != p) {
         return None;
     }
-    let rho = report2.schedule;
 
     // Phase 3: ε · p · ρ — both p and q should be selected, *if* the
     // candidate's selecting step does not influence other processors

@@ -210,11 +210,12 @@ pub fn soak(args: &[String]) -> Result<CmdOut, String> {
         let mut f = sel.faulty(plan.clone(), opts.journal);
         let mut sched = FaultSched::new(kind.scheduler::<Faulty<Machine>>(procs, seed));
         let mut checker = FaultToleranceChecker::strict();
+        let mut schedule: Vec<ProcId> = Vec::new();
         let report = engine::run(
             &mut f,
             &mut sched,
             max_steps,
-            &mut [&mut checker],
+            &mut [&mut schedule, &mut checker],
             &mut engine::stop::Never,
         );
         let violation = checker
@@ -222,11 +223,9 @@ pub fn soak(args: &[String]) -> Result<CmdOut, String> {
             .iter()
             .find(|d| d.severity == check::Severity::Error)
             .map(|d| d.code.to_owned());
-        let schedule = if violation.is_some() {
-            report.schedule
-        } else {
-            Vec::new()
-        };
+        if violation.is_none() {
+            schedule = Vec::new();
+        }
         SoakRun {
             scheduler: kind.label(),
             seed,

@@ -1385,7 +1385,7 @@ fn cli_stdout_golden_net() {
             0x3133c8260ee9d0e3,
         ),
     ];
-    const USAGE: u64 = 0xca7f863e9975ecf3;
+    const USAGE: u64 = 0xa39c46f51683acaf;
     const REPRO_RING: u64 = 0xe6a4f7b811df7121;
     const REPLAY_RING: u64 = 0x47de50a05f998e32;
     let mut drift = Vec::new();

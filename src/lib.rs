@@ -32,7 +32,7 @@
 //!   detection, lock-order deadlock analysis, lock discipline, ISA
 //!   conformance) with stable diagnostic codes.
 //! * [`serve`] — the multi-tenant simulation farm: a bounded job queue,
-//!   deterministic strided-partition worker pool, and content-addressed
+//!   a fixed worker pool, and content-addressed
 //!   artifact store behind a std-only HTTP/1.1 + NDJSON wire protocol
 //!   (`simsym serve` / `simsym submit`).
 //! * [`mp`] — a message-passing substrate and its reduction to Q-systems.
