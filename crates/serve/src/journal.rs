@@ -17,12 +17,14 @@
 //! | header | `schema` | first line of every journal file |
 //! | `submit` | `job`, `fingerprint`, `spec` | job acknowledged and queued |
 //! | `start` | `job` | a worker picked the job up |
-//! | `finish` | `job`, `disposition` (`ok`\|`deadline`\|`panic`), `failed` | terminal |
+//! | `finish` | `job`, `disposition` (`ok`\|`hit`\|`deadline`\|`panic`), `failed` | terminal |
 //! | `cancel` | `job` | terminal; queued- or running-cancelled |
 //!
 //! Recovery ([`replay`]) is a pure function of the journal bytes. Its
 //! verdict for each job: `finish ok` → serve the stored artifact from
-//! the on-disk store; `finish deadline`/`finish panic` → recreate the
+//! the on-disk store; `finish hit` → the same, as the cache hit it was
+//! (journals written before `hit` existed record a hit as `ok`, and
+//! still replay); `finish deadline`/`finish panic` → recreate the
 //! failed verdict; `cancel` → recreate the cancellation; anything else
 //! (submit or start without a terminal record) → **re-queue and
 //! re-run**, which is safe precisely because every job kind is
@@ -61,6 +63,12 @@ pub enum Disposition {
         /// Whether the artifact reports error-severity findings.
         failed: bool,
     },
+    /// The job was answered from the artifact store without running;
+    /// `failed` as for [`Disposition::Ok`].
+    Hit {
+        /// Whether the artifact reports error-severity findings.
+        failed: bool,
+    },
     /// The job was abandoned at a sweep-job boundary by its deadline.
     Deadline,
     /// The job panicked twice (initial run + the bounded retry).
@@ -71,6 +79,7 @@ impl Disposition {
     fn label(self) -> &'static str {
         match self {
             Disposition::Ok { .. } => "ok",
+            Disposition::Hit { .. } => "hit",
             Disposition::Deadline => "deadline",
             Disposition::Panic => "panic",
         }
@@ -255,6 +264,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, String> {
                         let disposition =
                             match take_str(&mut pairs, "disposition", line_no)?.as_str() {
                                 "ok" => Disposition::Ok { failed },
+                                "hit" => Disposition::Hit { failed },
                                 "deadline" => Disposition::Deadline,
                                 "panic" => Disposition::Panic,
                                 other => {
@@ -420,7 +430,9 @@ pub mod record {
     /// A terminal `finish` record.
     pub fn finish(id: u64, disposition: super::Disposition) -> String {
         let failed = match disposition {
-            super::Disposition::Ok { failed } => u8::from(failed),
+            super::Disposition::Ok { failed } | super::Disposition::Hit { failed } => {
+                u8::from(failed)
+            }
             _ => 1,
         };
         format!(
@@ -510,14 +522,20 @@ mod tests {
             record::finish(0, Disposition::Ok { failed: false }),
             record::cancel(2),
             record::start(1),
+            submit_line(3, "{\"kind\": \"lint\", \"system\": \"ring:3\"}"),
+            record::finish(3, Disposition::Hit { failed: false }),
         ]);
         let replayed = replay(&bytes).expect("clean journal");
-        assert_eq!(replayed.next_id, 3);
+        assert_eq!(replayed.next_id, 4);
         assert_eq!(replayed.valid_len, bytes.len() as u64);
-        assert_eq!(replayed.jobs.len(), 3);
+        assert_eq!(replayed.jobs.len(), 4);
         assert_eq!(
             replayed.jobs[0].state,
             RecoveredState::Finished(Disposition::Ok { failed: false })
+        );
+        assert_eq!(
+            replayed.jobs[3].state,
+            RecoveredState::Finished(Disposition::Hit { failed: false })
         );
         assert_eq!(replayed.jobs[1].state, RecoveredState::Unfinished);
         assert_eq!(replayed.jobs[1].deadline_ms, Some(50));

@@ -257,7 +257,10 @@ impl Verdict {
     /// The journal record of this verdict.
     fn record(&self, id: u64) -> String {
         let disposition = match self {
-            Verdict::Ran(output) | Verdict::CacheHit(output) => journal::Disposition::Ok {
+            Verdict::Ran(output) => journal::Disposition::Ok {
+                failed: output.failed,
+            },
+            Verdict::CacheHit(output) => journal::Disposition::Hit {
                 failed: output.failed,
             },
             Verdict::Deadline(_) => journal::Disposition::Deadline,
@@ -488,8 +491,8 @@ impl Farm {
         );
         if let Some(artifact) = artifact {
             // Cache hit: the job finishes at once, with no queue entry
-            // and no worker. Journaled as submit+finish so a restart
-            // replays it as the finished job it is.
+            // and no worker. Journaled as submit + `finish hit` so a
+            // restart replays it as the cache hit it was.
             self.finish(&mut st, id, &Verdict::CacheHit(artifact));
             return (200, ack);
         }
@@ -877,7 +880,7 @@ impl Server {
 
 /// Rebuilds farm state from replayed journal jobs: each journaled
 /// verdict goes through the same outcome mapping as a live one, and
-/// nothing is journaled. Finished `ok` jobs whose artifact file is
+/// nothing is journaled. Finished `ok` or `hit` jobs whose artifact file is
 /// missing are demoted to unfinished and re-run — always safe, because
 /// execution is deterministic.
 fn recover_jobs(
@@ -888,30 +891,32 @@ fn recover_jobs(
     let mut requeued = 0u64;
     let mut artifacts = 0u64;
     for rj in jobs {
-        let mut job = Job::new(rj.id, rj.argv, rj.fingerprint, rj.deadline_ms, "miss");
-        job.events.push(event_line(rj.id, "recovered", ""));
+        // Demoted: the journal's verdict stands (terminal, ok or hit)
+        // but the artifact bytes are gone, so the job re-runs to
+        // regenerate them. The re-execution is NOT journaled — the
+        // journal already holds this job's terminal record, and replay
+        // would read a second start/finish as corruption, bricking the
+        // state dir on the restart after this one.
+        let mut demoted = false;
         let verdict = match rj.state {
-            journal::RecoveredState::Finished(journal::Disposition::Ok { failed }) => {
-                match journal::read_artifact(dir, rj.fingerprint) {
-                    Some(document) => {
-                        let artifact = Arc::new(JobOutput { document, failed });
-                        state.store.insert(rj.fingerprint, Arc::clone(&artifact));
-                        artifacts += 1;
-                        Some(Verdict::Ran(artifact))
-                    }
-                    // Demoted: the journal's verdict stands (terminal,
-                    // ok) but the artifact bytes are gone, so the job
-                    // re-runs to regenerate them. The re-execution is
-                    // NOT journaled — the journal already holds this
-                    // job's terminal record, and replay would read a
-                    // second start/finish as corruption, bricking the
-                    // state dir on the restart after this one.
-                    None => {
-                        job.journaled_terminal = true;
-                        None
-                    }
+            journal::RecoveredState::Finished(
+                disposition @ (journal::Disposition::Ok { failed }
+                | journal::Disposition::Hit { failed }),
+            ) => match journal::read_artifact(dir, rj.fingerprint) {
+                Some(document) => {
+                    let artifact = Arc::new(JobOutput { document, failed });
+                    state.store.insert(rj.fingerprint, Arc::clone(&artifact));
+                    artifacts += 1;
+                    Some(match disposition {
+                        journal::Disposition::Hit { .. } => Verdict::CacheHit(artifact),
+                        _ => Verdict::Ran(artifact),
+                    })
                 }
-            }
+                None => {
+                    demoted = true;
+                    None
+                }
+            },
             journal::RecoveredState::Finished(journal::Disposition::Deadline) => {
                 Some(Verdict::Deadline(None))
             }
@@ -921,6 +926,14 @@ fn recover_jobs(
             journal::RecoveredState::Cancelled => Some(Verdict::Cancelled(None)),
             journal::RecoveredState::Unfinished => None,
         };
+        let cache = if matches!(verdict, Some(Verdict::CacheHit(_))) {
+            "hit"
+        } else {
+            "miss"
+        };
+        let mut job = Job::new(rj.id, rj.argv, rj.fingerprint, rj.deadline_ms, cache);
+        job.journaled_terminal = demoted;
+        job.events.push(event_line(rj.id, "recovered", ""));
         match verdict {
             Some(verdict) => {
                 let (terminal, events) = verdict.outcome(rj.id);
@@ -2011,7 +2024,7 @@ job 7 queued
 {"event": "start", "job": 1}
 {"event": "finish", "job": 1, "disposition": "ok", "failed": 1}
 {"event": "submit", "job": 2, "fingerprint": "b16e2eac73947b1a", "spec": "{\"kind\": \"lint\", \"system\": \"ring:3\"}"}
-{"event": "finish", "job": 2, "disposition": "ok", "failed": 0}
+{"event": "finish", "job": 2, "disposition": "hit", "failed": 0}
 {"event": "submit", "job": 3, "fingerprint": "13a6ed00e1edc587", "spec": "{\"kind\": \"lint\", \"system\": \"slow:1\", \"deadline_ms\": 1}"}
 {"event": "start", "job": 3}
 {"event": "finish", "job": 3, "disposition": "deadline", "failed": 1}
@@ -2064,10 +2077,10 @@ job 1 queued
   {"schema": "simsym-serve/v1", "job": 1, "event": "queued", "kind": "lint", "fingerprint": "d6aff3b3ac34bc66", "cache": "miss"}
   {"schema": "simsym-serve/v1", "job": 1, "event": "recovered"}
 job 2 done
-  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "hit"}
   {"schema": "simsym-serve/v1", "job": 2, "event": "recovered"}
-  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "miss", "failed": 0}
-  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "hit", "failed": 0}
+  result failed=0 hit=true "{\"argv\": \"lint ring:3 --json\"}\n"
 job 3 done
   {"schema": "simsym-serve/v1", "job": 3, "event": "queued", "kind": "lint", "fingerprint": "13a6ed00e1edc587", "cache": "miss"}
   {"schema": "simsym-serve/v1", "job": 3, "event": "recovered"}
@@ -2102,10 +2115,10 @@ job 1 done
   {"schema": "simsym-serve/v1", "job": 1, "event": "finished", "cache": "miss", "failed": 1}
   result failed=1 hit=false "{\"schema\": \"simsym-serve/v1\", \"error\": \"unknown family \\\"fail\\\"\"}\n"
 job 2 done
-  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "miss"}
+  {"schema": "simsym-serve/v1", "job": 2, "event": "queued", "kind": "lint", "fingerprint": "b16e2eac73947b1a", "cache": "hit"}
   {"schema": "simsym-serve/v1", "job": 2, "event": "recovered"}
-  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "miss", "failed": 0}
-  result failed=0 hit=false "{\"argv\": \"lint ring:3 --json\"}\n"
+  {"schema": "simsym-serve/v1", "job": 2, "event": "finished", "cache": "hit", "failed": 0}
+  result failed=0 hit=true "{\"argv\": \"lint ring:3 --json\"}\n"
 job 3 done
   {"schema": "simsym-serve/v1", "job": 3, "event": "queued", "kind": "lint", "fingerprint": "13a6ed00e1edc587", "cache": "miss"}
   {"schema": "simsym-serve/v1", "job": 3, "event": "recovered"}
