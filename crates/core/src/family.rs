@@ -294,44 +294,45 @@ pub fn elite_from_member_labels(member_labels: &[Vec<Label>]) -> Option<EliteSet
 
 fn verify_elite(counts: &[BTreeMap<Label, usize>], elite: &BTreeSet<Label>) -> bool {
     counts.iter().all(|m| {
-        elite
-            .iter()
-            .map(|l| m.get(l).copied().unwrap_or(0))
+        m.iter()
+            .filter(|(l, _)| elite.contains(l))
+            .map(|(_, &c)| c)
             .sum::<usize>()
             == 1
     })
 }
 
-/// The greedy loop from the proof of Theorem 9.
+/// The greedy loop from the proof of Theorem 9: the first member with no
+/// elite label yet takes its first label (in label order) that it
+/// carries once and that is safe globally — no member carries it twice or
+/// alongside an elite label. Each label's carriers are indexed once, so
+/// a step costs the labels it tries, not a scan of every member.
 fn greedy_elite(counts: &[BTreeMap<Label, usize>]) -> Option<BTreeSet<Label>> {
+    let mut carriers: BTreeMap<Label, Vec<(usize, usize)>> = BTreeMap::new();
+    for (m, labels) in counts.iter().enumerate() {
+        for (&l, &c) in labels {
+            carriers.entry(l).or_default().push((m, c));
+        }
+    }
     let mut elite: BTreeSet<Label> = BTreeSet::new();
+    // Whether each member carries an elite label; a member, once covered,
+    // stays covered.
+    let mut covered = vec![false; counts.len()];
+    let mut next = 0;
     loop {
-        // A member with no elite label yet.
-        let Some(member) = counts.iter().find(|m| {
-            elite
-                .iter()
-                .map(|l| m.get(l).copied().unwrap_or(0))
-                .sum::<usize>()
-                == 0
-        }) else {
+        while covered.get(next) == Some(&true) {
+            next += 1;
+        }
+        let Some(member) = counts.get(next) else {
             return Some(elite);
         };
-        // Pick a label unique within that member and safe globally (no
-        // member with an elite label also carries it).
-        let candidate = member.iter().find(|(l, &c)| {
-            c == 1
-                && counts.iter().all(|m| {
-                    let has_elite = elite.iter().any(|e| m.get(e).copied().unwrap_or(0) > 0);
-                    let carries = m.get(l).copied().unwrap_or(0);
-                    // Usable only when it does not over-cover any member.
-                    carries <= 1 && !(has_elite && carries > 0)
-                })
-        });
-        match candidate {
-            Some((&l, _)) => {
-                elite.insert(l);
-            }
-            None => return None,
+        // Usable only when it does not over-cover any member.
+        let (&l, _) = member
+            .iter()
+            .find(|(l, &c)| c == 1 && carriers[*l].iter().all(|&(m, c)| c <= 1 && !covered[m]))?;
+        elite.insert(l);
+        for &(m, _) in &carriers[&l] {
+            covered[m] = true;
         }
     }
 }
